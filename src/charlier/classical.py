@@ -189,14 +189,17 @@ def verify_value_difference(n: int) -> bool:
 # -- the moment functional ---------------------------------------------------
 
 
-@cache
+def stirling2_row(k: int) -> list[int]:
+    """S(k, j) for j = 0..k, built row by row from S(0, 0) = 1."""
+    row = [1]
+    for _ in range(k):
+        row = [j * s + t for j, (s, t) in enumerate(zip(row + [0], [0] + row))]
+    return row
+
+
 def stirling2(k: int, j: int) -> int:
     """Partitions of a k-set into j nonempty blocks."""
-    if k == 0:
-        return 1 if j == 0 else 0
-    if j <= 0 or j > k:
-        return 0
-    return j * stirling2(k - 1, j) + stirling2(k - 1, j - 1)
+    return stirling2_row(k)[j] if 0 <= j <= k else 0
 
 
 @cache
@@ -204,7 +207,7 @@ def moment(k: int) -> Poly:
     """k-th moment of the unit-mass Poisson-type weight, as a polynomial in a."""
     if k < 0:
         raise ValueError("moment order must be >= 0")
-    return Poly({(0, j, 0): stirling2(k, j) for j in range(k + 1)})
+    return Poly({(0, j, 0): s for j, s in enumerate(stirling2_row(k))})
 
 
 def inner_product_classical(p: Poly, q: Poly) -> Poly:

@@ -6,7 +6,7 @@ Subcommands:
     verify   run verification suites, emit a JSON report
     moments  moments of the weight as polynomials in a
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -92,11 +92,16 @@ def _coeffs_latex(table: CoeffTable) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        # Exit 1 means an identity failed; an I/O error is exit 2.
+        print(f"charlier: error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> int:

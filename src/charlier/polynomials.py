@@ -1,9 +1,20 @@
 """Exact sparse polynomial arithmetic over Q in the indeterminates x, a and N.
 
-Polynomials are immutable, coefficients are `fractions.Fraction`, and the zero
-polynomial is the empty term map.  Every operation canonicalizes its result
-(zero coefficients are never stored), so structural equality holds exactly
-when the difference of two polynomials is zero.
+A polynomial is stored as integer numerators over one shared denominator:
+``_terms`` maps a packed exponent key to a nonzero ``int`` numerator and
+``_den`` is a positive ``int``.  The key packs (e_x, e_a, e_N) into one int,
+one ``_BITS``-wide field per variable with x in the top field, so adding two
+keys multiplies the monomials and integer order on keys is lexicographic order
+on exponent triples.  Each field keeps its top bit clear as a guard: every
+exponent is below ``EXPONENT_LIMIT``, so the sum of two exponents never
+carries into the neighbouring field, and a product whose guard bit is set is
+rejected.
+
+Every polynomial is in canonical form: no zero numerators, ``_den > 0`` and
+``gcd(_den, *numerators) == 1``; the zero polynomial is ``{}`` over 1.  Every
+operation returns canonical form, so structural equality holds exactly when
+the difference of two polynomials is zero, and "the residual is zero" is a
+proof.  Coefficients leave the kernel as ``fractions.Fraction``.
 
 The forward difference ``delta`` and backward difference ``nabla`` act on the
 x variable and lower the x-degree by exactly one.  That strict lowering is
@@ -15,7 +26,9 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import comb
+from functools import reduce
+from math import comb, gcd, lcm
+from operator import or_
 from typing import Mapping, Union
 
 Rational = Fraction
@@ -39,7 +52,15 @@ _VAR_NAMES = {Var.X: "x", Var.A: "a", Var.N: "N"}
 # lexicographic on (e_x, e_a, e_N), descending.
 _PRINT_ORDER = (Var.A, Var.N, Var.X)
 
-_F0 = Fraction(0)
+_BITS = 20
+_MASK = (1 << _BITS) - 1
+# Exponents are below this bound, which leaves each field's top bit as guard.
+EXPONENT_LIMIT = 1 << (_BITS - 1)
+# Bit offset of each variable's field, indexed by Var.value.
+_SHIFTS = (2 * _BITS, _BITS, 0)
+_SX = _SHIFTS[0]
+_LOW = (1 << _SX) - 1  # the a and N fields of a key
+_GUARD = sum(EXPONENT_LIMIT << s for s in _SHIFTS)
 
 
 def parity_sign(k: int) -> int:
@@ -50,71 +71,104 @@ def parity_sign(k: int) -> int:
 class Poly:
     """A sparse element of Q[x, a, N]."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[Exponent, RationalLike] | None = None) -> None:
-        data: dict[Exponent, Fraction] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                ex, ea, en = exp
-                if ex < 0 or ea < 0 or en < 0:
-                    raise ValueError(f"negative exponent {exp!r}")
-                c = Fraction(coeff)
-                if c:
-                    data[ex, ea, en] = data.get((ex, ea, en), _F0) + c
-        self._terms = {e: c for e, c in data.items() if c}
+        coeffs = {Poly._pack(exp): Fraction(c) for exp, c in (terms or {}).items()}
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        canon = Poly._make(
+            {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den
+        )
+        self._terms, self._den = canon._terms, canon._den
+
+    @staticmethod
+    def _pack(exp: Exponent) -> int:
+        key = 0
+        for e, shift in zip(exp, _SHIFTS, strict=True):
+            if not isinstance(e, int) or not 0 <= e < EXPONENT_LIMIT:
+                raise ValueError(f"exponents must be integers in [0, {EXPONENT_LIMIT}): {exp!r}")
+            key |= e << shift
+        return key
+
+    @staticmethod
+    def _unpack(key: int) -> Exponent:
+        return (key >> _SX, (key >> _BITS) & _MASK, key & _MASK)
 
     @classmethod
-    def _raw(cls, data: dict[Exponent, Fraction]) -> "Poly":
-        # Trusted constructor: data must already be canonical.
+    def _raw(cls, terms: dict[int, int], den: int = 1) -> "Poly":
+        # Trusted constructor: terms and den must already be canonical.
         p = object.__new__(cls)
-        p._terms = data
+        p._terms = terms
+        p._den = den
         return p
+
+    @classmethod
+    def _make(cls, terms: dict[int, int], den: int) -> "Poly":
+        # Canonical form of terms over den > 0: drop zeros, divide out the content.
+        if not all(terms.values()):
+            terms = {k: v for k, v in terms.items() if v}
+        g = gcd(den, *terms.values())
+        if g != 1:
+            terms = {k: v // g for k, v in terms.items()}
+            den //= g
+        return cls._raw(terms, den)
 
     @classmethod
     def const(cls, value: RationalLike) -> "Poly":
         c = Fraction(value)
-        return cls._raw({(0, 0, 0): c} if c else {})
+        return cls._raw({0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, v: Var) -> "Poly":
-        exp = [0, 0, 0]
-        exp[v.value] = 1
-        return cls._raw({(exp[0], exp[1], exp[2]): Fraction(1)})
+        return cls._raw({1 << _SHIFTS[v.value]: 1})
 
     # -- inspection ---------------------------------------------------------
 
+    @staticmethod
+    def _grlex(item: tuple[int, int]) -> tuple[int, int]:
+        key = item[0]
+        return (key >> _SX) + ((key >> _BITS) & _MASK) + (key & _MASK), key
+
+    def _ordered(self) -> list[tuple[int, int]]:
+        return sorted(self._terms.items(), key=Poly._grlex, reverse=True)
+
     def terms(self) -> tuple[tuple[Exponent, Fraction], ...]:
         """Terms in descending graded-lex order (total degree, then exponents)."""
+        den = self._den
         return tuple(
-            sorted(self._terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+            (Poly._unpack(key), Fraction(num, den)) for key, num in self._ordered()
         )
+
+    def _degree(self, shift: int) -> int:
+        if shift == _SX:
+            return max(self._terms) >> _SX
+        return max((key >> shift) & _MASK for key in self._terms)
 
     def degree_in(self, v: Var) -> int:
         """Largest exponent of v, or -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        i = v.value
-        return max(exp[i] for exp in self._terms)
+        return self._degree(_SHIFTS[v.value])
 
     def coeff_of(self, v: Var, k: int) -> "Poly":
         """Coefficient of v**k, a polynomial in the remaining variables."""
         if k < 0:
             raise ValueError("power must be nonnegative")
-        i = v.value
-        out: dict[Exponent, Fraction] = {}
-        for exp, c in self._terms.items():
-            if exp[i] == k:
-                key = exp[:i] + (0,) + exp[i + 1 :]
-                out[key] = out.get(key, _F0) + c
-        return Poly._raw({e: c for e, c in out.items() if c})
+        shift = _SHIFTS[v.value]
+        field = k << shift
+        out = {
+            key - field: num
+            for key, num in self._terms.items()
+            if (key >> shift) & _MASK == k
+        }
+        return Poly._make(out, self._den)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial; raises if any variable occurs."""
         if not self._terms:
-            return _F0
-        if len(self._terms) == 1 and (0, 0, 0) in self._terms:
-            return self._terms[0, 0, 0]
+            return Fraction(0)
+        if len(self._terms) == 1 and 0 in self._terms:
+            return Fraction(self._terms[0], self._den)
         raise ValueError("polynomial is not constant")
 
     def evaluate(
@@ -124,11 +178,12 @@ class Poly:
         n: RationalLike = 0,
     ) -> Fraction:
         """Exact value at a rational point (x, a, N)."""
-        vals = (Fraction(x), Fraction(a), Fraction(n))
-        total = _F0
-        for (ex, ea, en), c in self._terms.items():
-            total += c * vals[0] ** ex * vals[1] ** ea * vals[2] ** en
-        return total
+        vx, va, vn = Fraction(x), Fraction(a), Fraction(n)
+        total = Fraction(0)
+        for key, num in self._terms.items():
+            ex, ea, en = Poly._unpack(key)
+            total += num * vx**ex * va**ea * vn**en
+        return total / self._den
 
     # -- ring operations ----------------------------------------------------
 
@@ -136,37 +191,41 @@ class Poly:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Poly):
-            return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == Poly.const(other)._terms
-        return NotImplemented
+            other = Poly.const(other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
         # Constants hash like the number they equal, so Poly.const(2) == 2
         # stays consistent with hashing.
         if not self._terms:
             return hash(0)
-        if len(self._terms) == 1 and (0, 0, 0) in self._terms:
-            return hash(self._terms[0, 0, 0])
-        return hash(frozenset(self._terms.items()))
+        if len(self._terms) == 1 and 0 in self._terms:
+            return hash(Fraction(self._terms[0], self._den))
+        return hash(frozenset(self.terms()))
 
     def __neg__(self) -> "Poly":
-        return Poly._raw({e: -c for e, c in self._terms.items()})
+        return Poly._raw({k: -v for k, v in self._terms.items()}, self._den)
 
     def __add__(self, other: "Poly | RationalLike") -> "Poly":
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
         elif not isinstance(other, Poly):
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, _F0) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return Poly._raw(out)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
+        d1, d2 = self._den, other._den
+        g = gcd(d1, d2)
+        s1, s2 = d2 // g, d1 // g
+        out = dict(self._terms) if s1 == 1 else {k: v * s1 for k, v in self._terms.items()}
+        get = out.get
+        for k, v in other._terms.items():
+            out[k] = get(k, 0) + v * s2
+        return Poly._make(out, d1 * s1)
 
     __radd__ = __add__
 
@@ -185,17 +244,24 @@ class Poly:
             c = Fraction(other)
             if not c:
                 return Poly._raw({})
-            return Poly._raw({e: v * c for e, v in self._terms.items()})
+            num = c.numerator
+            return Poly._make(
+                {k: v * num for k, v in self._terms.items()}, self._den * c.denominator
+            )
         if not isinstance(other, Poly):
             return NotImplemented
-        out: dict[Exponent, Fraction] = {}
+        if not self._terms or not other._terms:
+            return Poly._raw({})
+        out: dict[int, int] = {}
         get = out.get
-        for (x1, a1, n1), c1 in self._terms.items():
-            for (x2, a2, n2), c2 in other._terms.items():
-                key = (x1 + x2, a1 + a2, n1 + n2)
-                prev = get(key)
-                out[key] = c1 * c2 if prev is None else prev + c1 * c2
-        return Poly._raw({e: c for e, c in out.items() if c})
+        items = other._terms.items()
+        for k1, c1 in self._terms.items():
+            for k2, c2 in items:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        if reduce(or_, out) & _GUARD:
+            raise ValueError(f"product exponent reaches {EXPONENT_LIMIT}")
+        return Poly._make(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -210,6 +276,10 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        if k > 1 and self._terms:
+            for shift in _SHIFTS:
+                if self._degree(shift) * k >= EXPONENT_LIMIT:
+                    raise ValueError(f"power exponent reaches {EXPONENT_LIMIT}")
         result = Poly.const(1)
         base = self
         while k:
@@ -224,21 +294,27 @@ class Poly:
 
     def substitute(self, v: Var, value: RationalLike) -> "Poly":
         """Replace the variable v by a rational constant."""
-        val = Fraction(value)
-        i = v.value
-        out: dict[Exponent, Fraction] = {}
-        for exp, coeff in self._terms.items():
-            e = exp[i]
-            c = coeff * val**e if e else coeff
-            key = exp[:i] + (0,) + exp[i + 1 :]
-            out[key] = out.get(key, _F0) + c
-        return Poly._raw({e: c for e, c in out.items() if c})
+        if not self._terms:
+            return self
+        c = Fraction(value)
+        shift = _SHIFTS[v.value]
+        deg = self._degree(shift)
+        # value**e = p**e * q**(deg - e) / q**deg
+        p, q = c.numerator, c.denominator
+        scale = [p**e * q ** (deg - e) for e in range(deg + 1)]
+        out: dict[int, int] = {}
+        get = out.get
+        for key, num in self._terms.items():
+            e = (key >> shift) & _MASK
+            k = key - (e << shift)
+            out[k] = get(k, 0) + num * scale[e]
+        return Poly._make(out, self._den * q**deg)
 
     def negate_var(self, v: Var) -> "Poly":
         """Replace v by -v: flip the sign of terms with odd exponent of v."""
-        i = v.value
+        bit = 1 << _SHIFTS[v.value]
         return Poly._raw(
-            {e: -c if e[i] % 2 else c for e, c in self._terms.items()}
+            {k: -c if k & bit else c for k, c in self._terms.items()}, self._den
         )
 
     def shift_x(self, offset: RationalLike) -> "Poly":
@@ -246,53 +322,71 @@ class Poly:
         c = Fraction(offset)
         if not c or not self._terms:
             return self
-        out: dict[Exponent, Fraction] = {}
-        for (ex, ea, en), coeff in self._terms.items():
-            if ex == 0:
-                key = (0, ea, en)
-                out[key] = out.get(key, _F0) + coeff
-                continue
-            power = Fraction(1)
-            powers = [power]
-            for _ in range(ex):
-                power *= c
-                powers.append(power)
-            for j in range(ex + 1):
-                key = (j, ea, en)
-                out[key] = out.get(key, _F0) + coeff * comb(ex, j) * powers[ex - j]
-        return Poly._raw({e: v for e, v in out.items() if v})
+        deg = self._degree(_SX)
+        # (x + p/q)**e = sum_j comb(e, j) p**(e-j) q**(deg-e+j) x**j / q**deg
+        p, q = c.numerator, c.denominator
+        pp = [p**i for i in range(deg + 1)]
+        qq = [q**i for i in range(deg + 1)]
+        out: dict[int, int] = {}
+        get = out.get
+        for key, num in self._terms.items():
+            e, rest = key >> _SX, key & _LOW
+            for j in range(e + 1):
+                k = (j << _SX) | rest
+                out[k] = get(k, 0) + num * comb(e, j) * pp[e - j] * qq[deg - e + j]
+        return Poly._make(out, self._den * qq[deg])
+
+    def _difference(self, backward: bool) -> "Poly":
+        # x**e has forward difference sum_{j<e} comb(e, j) x**j and backward
+        # difference sum_{j<e} (-1)**(e-j+1) comb(e, j) x**j: the top term
+        # cancels and is never formed.
+        out: dict[int, int] = {}
+        get = out.get
+        for key, num in self._terms.items():
+            e, rest = key >> _SX, key & _LOW
+            c = -num if backward and e % 2 == 0 else num
+            for j in range(e):
+                k = (j << _SX) | rest
+                out[k] = get(k, 0) + c * comb(e, j)
+                if backward:
+                    c = -c
+        return Poly._make(out, self._den)
 
     def delta(self) -> "Poly":
         """Forward difference in x: p(x+1) - p(x)."""
-        return self.shift_x(1) - self
+        return self._difference(backward=False)
 
     def nabla(self) -> "Poly":
         """Backward difference in x: p(x) - p(x-1)."""
-        return self - self.shift_x(-1)
+        return self._difference(backward=True)
 
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
+        den = self._den
         parts: list[str] = []
-        for exp, coeff in self.terms():
+        for key, num in self._ordered():
+            exp = Poly._unpack(key)
             mono = "*".join(
                 _VAR_NAMES[v] if exp[v.value] == 1 else f"{_VAR_NAMES[v]}^{exp[v.value]}"
                 for v in _PRINT_ORDER
                 if exp[v.value]
             )
-            mag = abs(coeff)
+            g = gcd(num, den)
+            top, bottom = abs(num) // g, den // g
+            mag = str(top) if bottom == 1 else f"{top}/{bottom}"
             if not mono:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif top == bottom == 1:
                 body = mono
             else:
                 body = f"{mag}*{mono}"
             if not parts:
-                parts.append(f"-{body}" if coeff < 0 else body)
+                parts.append(f"-{body}" if num < 0 else body)
             else:
-                parts.append(f" - {body}" if coeff < 0 else f" + {body}")
+                parts.append(f" - {body}" if num < 0 else f" + {body}")
         return "".join(parts)
 
     def __repr__(self) -> str:

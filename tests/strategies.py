@@ -16,4 +16,6 @@ coefficients = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=6
 )
 
-polys = st.dictionaries(exponents, coefficients, max_size=6).map(Poly)
+term_maps = st.dictionaries(exponents, coefficients, max_size=6)
+
+polys = term_maps.map(Poly)

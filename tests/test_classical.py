@@ -160,6 +160,26 @@ class TestMoments:
         assert stirling2(0, 0) == 1
         assert stirling2(4, 2) == 7
 
+    def test_moments_match_recursive_stirling(self):
+        def recursive(k: int, j: int) -> int:
+            if k == 0:
+                return 1 if j == 0 else 0
+            if j <= 0 or j > k:
+                return 0
+            return j * recursive(k - 1, j) + recursive(k - 1, j - 1)
+
+        for k in range(11):
+            expected = Poly({(0, j, 0): recursive(k, j) for j in range(k + 1)})
+            assert moment(k) == expected
+
+    def test_high_moment_without_recursion(self):
+        # Bypass the cache so the whole Stirling row is built from scratch.
+        m = moment.__wrapped__(1500)
+        assert m.degree_in(Var.A) == 1500
+        assert m.coeff_of(Var.A, 1500) == 1
+        assert m.coeff_of(Var.A, 1499) == math.comb(1500, 2)
+        assert m.coeff_of(Var.A, 1) == 1
+
     @pytest.mark.parametrize("k", range(11))
     def test_bell_number_cross_check(self, k):
         bells = bell_numbers(10)

@@ -73,6 +73,14 @@ class TestGoldenOutputs:
         assert result.stdout == ""
         assert json.loads(target.read_text())["ai"][0]["poly"] == "-x"
 
+    def test_unwritable_out_is_an_io_error(self, tmp_path):
+        target = tmp_path / "missing" / "x.txt"
+        result = run_cli("poly", "charlier", "3", "--out", str(target))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert "cannot write" in result.stderr and "Traceback" not in result.stderr
+
     def test_bad_format_is_usage_error(self):
         assert run_cli("coeffs", "--format", "xml").returncode == 2
 

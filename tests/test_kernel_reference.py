@@ -1,0 +1,86 @@
+"""The integer kernel of Poly against the Fraction-per-term reference.
+
+Every operation is run on the same random operands in both representations;
+the results must agree on ``terms()``, ``str()``, ``==`` and ``hash``.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from charlier.polynomials import Poly, Var
+from reference_poly import RefPoly
+from strategies import coefficients, term_maps
+
+pairs = term_maps.map(lambda t: (Poly(t), RefPoly(t)))
+scalars = st.one_of(st.integers(min_value=-6, max_value=6), coefficients)
+points = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+SHIFTS = (1, -1, -2, Fraction(1, 2))
+SUBSTITUTIONS = (0, -1, -2, Fraction(1, 3))
+
+
+def assert_same(p: Poly, r: RefPoly) -> None:
+    assert p.terms() == r.terms()
+    assert str(p) == str(r)
+    assert hash(p) == hash(r)
+
+
+@settings(deadline=None)
+@given(pairs, pairs)
+def test_ring_operations(left, right):
+    (p, r), (q, s) = left, right
+    assert_same(p + q, r + s)
+    assert_same(p - q, r - s)
+    assert_same(p * q, r * s)
+    assert_same(-p, -r)
+    assert (p == q) == (r == s)
+    assert (p - q == 0) == (r - s == 0)
+
+
+@settings(deadline=None)
+@given(pairs, scalars)
+def test_scalar_operations(pair, c):
+    p, r = pair
+    assert_same(p + c, r + c)
+    assert_same(c + p, c + r)
+    assert_same(p - c, r - c)
+    assert_same(c - p, c - r)
+    assert_same(p * c, r * c)
+    assert_same(c * p, c * r)
+    if c:
+        assert_same(p / c, r / c)
+    assert (p == c) == (r == c)
+
+
+@settings(deadline=None, max_examples=60)
+@given(pairs, st.integers(min_value=0, max_value=3))
+def test_powers(pair, k):
+    p, r = pair
+    assert_same(p**k, r**k)
+
+
+@settings(deadline=None)
+@given(pairs)
+def test_difference_calculus(pair):
+    p, r = pair
+    for offset in SHIFTS:
+        assert_same(p.shift_x(offset), r.shift_x(offset))
+    assert_same(p.delta(), r.delta())
+    assert_same(p.nabla(), r.nabla())
+
+
+@settings(deadline=None)
+@given(pairs, points, points, points)
+def test_substitution_and_inspection(pair, x, a, n):
+    p, r = pair
+    for v in Var:
+        for value in SUBSTITUTIONS:
+            assert_same(p.substitute(v, value), r.substitute(v, value))
+        for k in range(4):
+            assert_same(p.coeff_of(v, k), r.coeff_of(v, k))
+        assert_same(p.negate_var(v), r.negate_var(v))
+        assert p.degree_in(v) == r.degree_in(v)
+    assert p.evaluate(x, a, n) == r.evaluate(x, a, n)
+    assert type(p.evaluate(x, a, n)) is Fraction

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charlier.polynomials import A, N, Poly, Var, X
+from charlier.polynomials import EXPONENT_LIMIT, A, N, Poly, Var, X
 from strategies import polys
 
 half = Fraction(1, 2)
@@ -24,6 +24,19 @@ class TestConstruction:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             Poly({(-1, 0, 0): 1})
+
+    def test_non_integer_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            Poly({(1.5, 0, 0): 1})
+        with pytest.raises(ValueError):
+            Poly({(0, 2.0, 0): 1})
+
+    def test_exponent_beyond_field_rejected(self):
+        for exp in ((EXPONENT_LIMIT, 0, 0), (0, EXPONENT_LIMIT, 0), (0, 0, EXPONENT_LIMIT)):
+            with pytest.raises(ValueError):
+                Poly({exp: 1})
+        top = EXPONENT_LIMIT - 1
+        assert Poly({(top, top, top): 1}).degree_in(Var.N) == top
 
     def test_constants_compare_with_numbers(self):
         assert Poly.const(half) == half
@@ -60,6 +73,23 @@ class TestArithmetic:
         assert (X + 1) ** 3 == X**3 + 3 * X**2 + 3 * X + 1
         with pytest.raises(ValueError):
             X ** (-1)
+
+    def test_product_overflow_never_carries(self):
+        # Each product reaches EXPONENT_LIMIT; in the a and N fields an
+        # unchecked sum would carry into the neighbouring variable.
+        top = EXPONENT_LIMIT - 1
+        for v in (X, A, N):
+            with pytest.raises(ValueError):
+                (v**top) * v
+        with pytest.raises(ValueError):
+            Poly({(0, 0, top): 1}) * (N + A)
+
+    def test_huge_power_fails_fast(self):
+        with pytest.raises(ValueError):
+            X ** (1 << 40)
+        with pytest.raises(ValueError):
+            (X + A + 1) ** (1 << 40)
+        assert Poly.const(1) ** (1 << 40) == 1
 
     def test_division(self):
         assert (2 * X) / 2 == X
