@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from typing import Sequence
 
 from .polynomials import A, Poly, RationalLike, Var, X, parity_sign
 
@@ -210,18 +211,44 @@ def moment(k: int) -> Poly:
     return Poly({(0, j, 0): s for j, s in enumerate(stirling2_row(k))})
 
 
+def moments_of(q: Poly, size: int) -> list[Poly]:
+    """The moment vector of q: the pairings <x^j, q> for j < size.
+
+    Entry j sends the x^k coefficient of q to moment(j + k), so pairing any p
+    of x-degree below size with q is a dot product with this vector.
+    """
+    columns = [q.coeff_of(Var.X, k) for k in range(q.degree_in(Var.X) + 1)]
+    return [
+        sum((c * moment(j + k) for k, c in enumerate(columns) if c), Poly())
+        for j in range(size)
+    ]
+
+
+def dot_moments(p: Poly, vector: Sequence[Poly]) -> Poly:
+    """<p, q> from the moment vector of q: sum_j [x^j]p * vector[j]."""
+    return sum(
+        (p.coeff_of(Var.X, j) * vector[j] for j in range(p.degree_in(Var.X) + 1)),
+        Poly(),
+    )
+
+
 def inner_product_classical(p: Poly, q: Poly) -> Poly:
-    """Bilinear moment functional: expand p*q in x and send x^k to moment(k)."""
-    product = p * q
-    total = Poly()
-    for k in range(product.degree_in(Var.X) + 1):
-        total = total + product.coeff_of(Var.X, k) * moment(k)
-    return total
+    """Bilinear moment functional sending x^k to moment(k), evaluated as the
+    dot product of p's x-coefficients with the moment vector of q."""
+    return dot_moments(p, moments_of(q, p.degree_in(Var.X) + 1))
+
+
+@cache
+def moment_vector(n: int) -> tuple[Poly, ...]:
+    """<x^j, charlier(n)> for j = 0..n."""
+    return tuple(moments_of(charlier(n), n + 1))
 
 
 def orthogonality_residual(m: int, n: int) -> Poly:
-    """inner product of charlier(m), charlier(n) minus its closed form."""
+    """inner product of charlier(m), charlier(n) minus its closed form,
+    paired through the moment vector of the higher degree."""
     if m < 0 or n < 0:
         raise ValueError("indices must be >= 0")
     expected = A**n * Fraction(1, factorial(n)) if m == n else Poly()
-    return inner_product_classical(charlier(m), charlier(n)) - expected
+    low, high = sorted((m, n))
+    return dot_moments(charlier(low), moment_vector(high)) - expected

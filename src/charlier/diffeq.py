@@ -9,7 +9,10 @@ not depend on the degree n, and the order-zero coefficient ``a0`` is a
 polynomial in a depending on n only.  For nonzero mass the operator has
 unbounded order, yet it acts exactly on polynomials: terms of total order
 above the x-degree of the argument annihilate it, so every series here is a
-finite sum with no truncation error.
+finite sum with no truncation error.  Every operator reads its differences
+from one chain y, Delta y, Delta^2 y, ... of its argument, and
+``OperatorActions`` builds each chain and each operator action of a verify
+run once for all the identities that read it.
 
 This module builds the coefficient families, assembles the equation, and
 certifies the structural facts about the coefficients (vanishing at x = 0,
@@ -44,6 +47,35 @@ class DiffTerm:
     nabla_order: int
 
 
+class DifferenceChain:
+    """y, Delta y, Delta^2 y, ...: each power built once, on first use.
+
+    Powers above the x-degree of y are the zero polynomial and are never
+    built.  An operator applied to a chain reads the powers it needs from it,
+    so operators applied to the same argument share one chain.
+    """
+
+    __slots__ = ("degree", "_powers")
+
+    def __init__(self, y: Poly) -> None:
+        self.degree = y.degree_in(Var.X)
+        self._powers = [y]
+
+    @classmethod
+    def of(cls, y: "Poly | DifferenceChain") -> "DifferenceChain":
+        return y if isinstance(y, DifferenceChain) else cls(y)
+
+    def __getitem__(self, order: int) -> Poly:
+        if order < 0:
+            raise ValueError("difference orders must be nonnegative")
+        if order > self.degree:
+            return Poly()
+        powers = self._powers
+        while len(powers) <= order:
+            powers.append(powers[-1].delta())
+        return powers[order]
+
+
 class DiffOperator:
     """Finite linear combination of mixed forward and backward differences."""
 
@@ -60,23 +92,24 @@ class DiffOperator:
             DiffTerm(c, d, m) for (d, m), c in sorted(merged.items()) if c
         )
 
-    def apply(self, y: Poly) -> Poly:
-        """Apply to a polynomial.
+    def apply(self, y: "Poly | DifferenceChain") -> Poly:
+        """Apply to a polynomial, or to the difference chain of one.
 
-        Terms whose total order exceeds deg_x(y) contribute exactly zero and
-        are skipped, which is what makes unbounded-order operators act as
-        finite sums on polynomials.
+        Every term reads one power of the forward chain of y: since
+        Nabla = Delta shifted back by one, Delta^d Nabla^m y is
+        (Delta^(d+m) y)(x - m).  Terms whose total order exceeds deg_x(y)
+        contribute exactly zero and are skipped, which is what makes
+        unbounded-order operators act as finite sums on polynomials.
         """
-        deg = y.degree_in(Var.X)
+        chain = DifferenceChain.of(y)
         out = Poly()
         for term in self.terms:
-            if term.delta_order + term.nabla_order > deg:
+            order = term.delta_order + term.nabla_order
+            if order > chain.degree:
                 continue
-            z = y
-            for _ in range(term.nabla_order):
-                z = z.nabla()
-            for _ in range(term.delta_order):
-                z = z.delta()
+            z = chain[order]
+            if term.nabla_order:
+                z = z.shift_x(-term.nabla_order)
             out = out + term.coeff * z
         return out
 
@@ -84,6 +117,20 @@ class DiffOperator:
 def classical_operator(n: int) -> DiffOperator:
     """x Delta Nabla + (a - x) Delta + n, which annihilates charlier(n)."""
     return DiffOperator([(X, 1, 1), (A - X, 1, 0), (Poly.const(n), 0, 0)])
+
+
+def backshift_operator(order: int) -> DiffOperator:
+    """sum_{i=0}^{order} (-1)^i Delta^i, the backward shift y(x) -> y(x-1) on
+    polynomials of x-degree at most order."""
+    return DiffOperator((Poly.const(parity_sign(i)), i, 0) for i in range(order + 1))
+
+
+def classical_series_operator(n: int) -> DiffOperator:
+    """x sum_{i=1}^{n} (-1)^i Delta^i + a Delta + n: the classical operator
+    with x Delta Nabla - x Delta = -x Nabla expanded as the alternating series,
+    exact on polynomials of x-degree at most n."""
+    items = [(X * parity_sign(i), i, 0) for i in range(1, n + 1)]
+    return DiffOperator(items + [(A, 1, 0), (Poly.const(n), 0, 0)])
 
 
 # -- the coefficient families ------------------------------------------------
@@ -147,6 +194,107 @@ def mass_operator(n: int, order: int, coeffs: CoeffProvider | None = None) -> Di
     return DiffOperator(items)
 
 
+# -- operator actions shared within one run ---------------------------------
+
+# What the degree-n mass operator is applied to: gen_charlier(n), charlier(n)
+# and charlier(n) shifted by -1.
+ARGUMENTS = ("generalized", "charlier", "shifted")
+
+
+def _mass_closed_form(n: int, point: int) -> Poly:
+    """(-1)^(n-1) C_n(point) C_{n-1}(x-2)."""
+    at_point = charlier(n).substitute(Var.X, point)
+    return at_point * charlier(n - 1).shift_x(-2) * parity_sign(n - 1)
+
+
+class OperatorActions:
+    """Difference chains and operator actions shared by the identities of one
+    verify run.
+
+    Each chain, each action of a degree-n mass operator and each left-hand
+    side of the equation is built once, on first use, and keyed by integer
+    indices, never by a polynomial.  The mass operators read the coefficient
+    provider given here, so an instance serves the one run it was made for.
+    """
+
+    def __init__(self, coeffs: CoeffProvider | None = None) -> None:
+        self.coeffs = coeffs
+        self._chains: dict[tuple[str, int], DifferenceChain] = {}
+        self._mixed: dict[int, list[DifferenceChain]] = {}
+        self._mass: dict[tuple[str, int], Poly] = {}
+        self._equations: dict[int, Poly] = {}
+
+    def chain(self, argument: str, n: int) -> DifferenceChain:
+        """The difference chain of one of the ARGUMENTS at degree n."""
+        key = (argument, n)
+        chain = self._chains.get(key)
+        if chain is None:
+            if argument not in ARGUMENTS:
+                raise ValueError(f"unknown argument {argument!r}")
+            y = gen_charlier(n) if argument == "generalized" else charlier(n)
+            if argument == "shifted":
+                y = y.shift_x(-1)
+            chain = self._chains[key] = DifferenceChain(y)
+        return chain
+
+    def mass(self, argument: str, n: int) -> Poly:
+        """sum_{i=0}^{n} ai Delta^i with the degree-n a0, applied to the
+        argument; the sum stops at order n, exact since deg_x is n."""
+        key = (argument, n)
+        action = self._mass.get(key)
+        if action is None:
+            op = mass_operator(n, n, self.coeffs)
+            action = self._mass[key] = op.apply(self.chain(argument, n))
+        return action
+
+    def equation(self, n: int) -> Poly:
+        """Left-hand side of the full equation at y = gen_charlier(n)."""
+        lhs = self._equations.get(n)
+        if lhs is None:
+            y = self.chain("generalized", n)
+            lhs = N * self.mass("generalized", n) + classical_operator(n).apply(y)
+            self._equations[n] = lhs
+        return lhs
+
+    def mass_action_residual(self, n: int) -> Poly:
+        return self.mass("charlier", n) - _mass_closed_form(n, 0)
+
+    def mass_action_shifted_residual(self, n: int) -> Poly:
+        return self.mass("shifted", n) - _mass_closed_form(n, -1)
+
+    def mass_action_cross_residual(self, n: int) -> Poly:
+        cn = charlier(n)
+        return cn.substitute(Var.X, -1) * self.mass("charlier", n) - cn.substitute(
+            Var.X, 0
+        ) * self.mass("shifted", n)
+
+    def classical_infinite_order_residual(self, n: int) -> Poly:
+        if n < 0:
+            raise ValueError("index must be >= 0")
+        return classical_series_operator(n).apply(self.chain("charlier", n))
+
+    def combined_equation_residual(self, n: int) -> Poly:
+        if n < 0:
+            raise ValueError("index must be >= 0")
+        series = classical_series_operator(n).apply(self.chain("generalized", n))
+        return N * self.mass("generalized", n) + series
+
+    def mixed_difference(self, n: int, k: int, m: int) -> Poly:
+        """Delta^k Nabla^m charlier(n), from one forward chain per (n, m)
+        whose start is the backward difference of the previous one's."""
+        chains = self._mixed.setdefault(n, [self.chain("charlier", n)])
+        while len(chains) <= m:
+            chains.append(DifferenceChain(chains[-1][0].nabla()))
+        return chains[m][k]
+
+    def verify_mixed_leading(self, i: int, k: int, n: int) -> bool:
+        if not 0 <= k <= i <= n:
+            raise ValueError("need 0 <= k <= i <= n")
+        mixed = self.mixed_difference(n, k, i - k)
+        pure = self.mixed_difference(n, i, 0)
+        return mixed.coeff_of(Var.X, n - i) == pure.coeff_of(Var.X, n - i)
+
+
 # -- the equation itself -----------------------------------------------------
 
 
@@ -157,8 +305,7 @@ def apply_difference_equation(n: int, coeffs: CoeffProvider | None = None) -> Po
     has x-degree n.  The contract is that the result is the zero polynomial
     in (x, a, N).
     """
-    y = gen_charlier(n)
-    return N * mass_operator(n, n, coeffs).apply(y) + classical_operator(n).apply(y)
+    return OperatorActions(coeffs).equation(n)
 
 
 def verify_difference_equation(n: int, coeffs: CoeffProvider | None = None) -> bool:
@@ -168,29 +315,17 @@ def verify_difference_equation(n: int, coeffs: CoeffProvider | None = None) -> b
 def mass_action_residual(n: int, coeffs: CoeffProvider | None = None) -> Poly:
     """Action of the mass operator on charlier(n), minus its closed form
     (-1)^(n-1) C_n(0) C_{n-1}(x-2)."""
-    op = mass_operator(n, n, coeffs)
-    rhs = charlier(n).substitute(Var.X, 0) * charlier(n - 1).shift_x(-2) * parity_sign(
-        n - 1
-    )
-    return op.apply(charlier(n)) - rhs
+    return OperatorActions(coeffs).mass_action_residual(n)
 
 
 def mass_action_shifted_residual(n: int, coeffs: CoeffProvider | None = None) -> Poly:
     """Same action on charlier(n) shifted by -1; closed form carries C_n(-1)."""
-    op = mass_operator(n, n, coeffs)
-    rhs = charlier(n).substitute(Var.X, -1) * charlier(n - 1).shift_x(-2) * parity_sign(
-        n - 1
-    )
-    return op.apply(charlier(n).shift_x(-1)) - rhs
+    return OperatorActions(coeffs).mass_action_shifted_residual(n)
 
 
 def mass_action_cross_residual(n: int, coeffs: CoeffProvider | None = None) -> Poly:
     """C_n(-1) times the action at x, minus C_n(0) times the action at x-1."""
-    op = mass_operator(n, n, coeffs)
-    cn = charlier(n)
-    return cn.substitute(Var.X, -1) * op.apply(cn) - cn.substitute(Var.X, 0) * op.apply(
-        cn.shift_x(-1)
-    )
+    return OperatorActions(coeffs).mass_action_cross_residual(n)
 
 
 def verify_mass_action(n: int) -> bool:
@@ -296,17 +431,7 @@ def verify_degree_escalation(i: int, coeffs: CoeffProvider | None = None) -> boo
 def verify_mixed_leading(i: int, k: int, n: int) -> bool:
     """Delta^k Nabla^(i-k) and Delta^i agree on the x^(n-i) coefficient of
     charlier(n)."""
-    if not 0 <= k <= i <= n:
-        raise ValueError("need 0 <= k <= i <= n")
-    mixed = charlier(n)
-    for _ in range(i - k):
-        mixed = mixed.nabla()
-    for _ in range(k):
-        mixed = mixed.delta()
-    pure = charlier(n)
-    for _ in range(i):
-        pure = pure.delta()
-    return mixed.coeff_of(Var.X, n - i) == pure.coeff_of(Var.X, n - i)
+    return OperatorActions().verify_mixed_leading(i, k, n)
 
 
 # -- uniqueness through forward substitution ---------------------------------
@@ -355,17 +480,11 @@ def verify_uniqueness(max_i: int, coeffs: CoeffProvider | None = None) -> bool:
 # -- the unbounded-order rewritings ------------------------------------------
 
 
-def backshift_residual(y: Poly) -> Poly:
+def backshift_residual(y: "Poly | DifferenceChain") -> Poly:
     """y(x-1) minus the alternating sum of forward differences of y,
     truncated (exactly) at the x-degree of y."""
-    total = Poly()
-    z = y
-    sign = 1
-    for _ in range(y.degree_in(Var.X) + 1):
-        total = total + z * sign
-        z = z.delta()
-        sign = -sign
-    return y.shift_x(-1) - total
+    chain = DifferenceChain.of(y)
+    return chain[0].shift_x(-1) - backshift_operator(chain.degree).apply(chain)
 
 
 def verify_backshift_expansion(y: Poly) -> bool:
@@ -374,17 +493,7 @@ def verify_backshift_expansion(y: Poly) -> bool:
 
 def classical_infinite_order_residual(n: int) -> Poly:
     """x * sum_{i>=1} (-1)^i Delta^i y + a Delta y + n y at y = charlier(n)."""
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    y = charlier(n)
-    total = Poly()
-    z = y.delta()
-    sign = -1
-    for _ in range(n):
-        total = total + z * sign
-        z = z.delta()
-        sign = -sign
-    return X * total + A * y.delta() + n * y
+    return OperatorActions().classical_infinite_order_residual(n)
 
 
 def verify_classical_infinite_order(n: int) -> bool:
@@ -394,22 +503,7 @@ def verify_classical_infinite_order(n: int) -> bool:
 def combined_equation_residual(n: int, coeffs: CoeffProvider | None = None) -> Poly:
     """The equation with the classical part expanded through the alternating
     difference series, at y = gen_charlier(n)."""
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    y = gen_charlier(n)
-    alternating = Poly()
-    z = y.delta()
-    sign = -1
-    for _ in range(n):
-        alternating = alternating + z * sign
-        z = z.delta()
-        sign = -sign
-    return (
-        N * mass_operator(n, n, coeffs).apply(y)
-        + X * alternating
-        + A * y.delta()
-        + n * y
-    )
+    return OperatorActions(coeffs).combined_equation_residual(n)
 
 
 def verify_combined_equation(n: int, coeffs: CoeffProvider | None = None) -> bool:

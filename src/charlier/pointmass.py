@@ -13,8 +13,8 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .classical import charlier, inner_product_classical
-from .polynomials import N, Poly, Var, X, parity_sign
+from .classical import charlier, dot_moments, moments_of
+from .polynomials import N, Poly, Var, parity_sign
 
 
 @cache
@@ -50,18 +50,33 @@ def verify_alternative_form(n: int) -> bool:
     return not alternative_form_residual(n)
 
 
+def _general_moments(q: Poly, size: int) -> list[Poly]:
+    """<x^j, q> under the point-mass inner product for j < max(size, 1).
+
+    Only the constant test function sees the mass, so N q(0) enters entry 0
+    alone.
+    """
+    vector = moments_of(q, max(size, 1))
+    vector[0] = vector[0] + N * q.substitute(Var.X, 0)
+    return vector
+
+
 def inner_product_general(p: Poly, q: Poly) -> Poly:
     """Moment functional of the classical weight plus the mass term N p(0) q(0)."""
-    return inner_product_classical(p, q) + N * p.substitute(Var.X, 0) * q.substitute(
-        Var.X, 0
-    )
+    return dot_moments(p, _general_moments(q, p.degree_in(Var.X) + 1))
+
+
+@cache
+def moment_vector(n: int) -> tuple[Poly, ...]:
+    """<x^j, gen_charlier(n)> under the point-mass inner product, j = 0..n."""
+    return tuple(_general_moments(gen_charlier(n), n + 1))
 
 
 def orthogonality_residual(m: int, n: int) -> Poly:
     """inner_product_general of two distinct family members; identically zero."""
     if not 0 <= m < n:
         raise ValueError("need 0 <= m < n")
-    return inner_product_general(gen_charlier(m), gen_charlier(n))
+    return dot_moments(gen_charlier(m), moment_vector(n))
 
 
 def verify_orthogonality(m: int, n: int) -> bool:
@@ -71,17 +86,18 @@ def verify_orthogonality(m: int, n: int) -> bool:
 def verify_construction_steps(n: int) -> bool:
     """The linear conditions that pin down gen_charlier(n).
 
-    (a) for n >= 2, gen_charlier(n) is orthogonal to x * x^j for j <= n-2
-        (the mass term drops out since the test function vanishes at 0);
+    (a) for n >= 2, gen_charlier(n) is orthogonal to x * x^j for j <= n-2,
+        read off its moment vector (the mass term drops out since the test
+        function vanishes at 0);
     (b) for n >= 1, the chosen combination weights satisfy the remaining
         constant-function condition.
     Degrees 0 and 1 make part (a) vacuous and pass trivially.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
-    y = gen_charlier(n)
+    moments = moment_vector(n)
     for j in range(n - 1):
-        if inner_product_general(X ** (j + 1), y):
+        if moments[j + 1]:
             return False
     if n >= 1:
         cn = charlier(n)
@@ -100,8 +116,7 @@ def norm_general(n: int) -> Poly:
 
     Nonzero as a polynomial in (a, N); its N = 0 slice is a^n / n!.
     """
-    y = gen_charlier(n)
-    return inner_product_general(y, y)
+    return dot_moments(gen_charlier(n), moment_vector(n))
 
 
 def norm_classical_slice(n: int) -> Poly:

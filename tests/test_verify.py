@@ -1,0 +1,70 @@
+"""Suite runner: byte-stable reports and per-run isolation of shared work."""
+
+import hashlib
+import json
+
+import pytest
+
+from charlier import pointmass as pm
+from charlier import verify
+from charlier.cli import main
+from charlier.diffeq import coeff_ai
+from charlier.polynomials import A, N
+from charlier.verify import SuiteSpec, run_suite
+
+# SHA-256 of the report without its elapsed_ms fields, serialized with
+# json.dumps(..., sort_keys=True).
+PINNED_REPORTS = [
+    (("verify", "--suite", "all"), 0,
+     "a3f6196688fa0642c865394cbf5f798b7b0085abb2b88a9bac9e559958aec68a"),
+    (("verify", "--suite", "diffeq", "--n-max", "8", "--i-max", "8", "--corrupt-ai", "1"), 1,
+     "410b9e53a97b059624af0522ea60144495734f1035d45f035c0dbba11ad49e6a"),
+]
+
+# Identities that read the mass operator of degree n >= I once the order-I
+# coefficient is corrupted.
+MASS_TAGS = (
+    "difference-equation", "n-stratification", "combined-equation",
+    "mass-action", "mass-action-shifted", "mass-action-cross",
+)
+
+
+def normalized_digest(stdout: str) -> str:
+    report = json.loads(stdout)
+    for case in report["cases"]:
+        case.pop("elapsed_ms")
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv,code,digest", PINNED_REPORTS)
+def test_report_is_byte_stable(argv, code, digest, capsys):
+    assert main(list(argv)) == code
+    assert normalized_digest(capsys.readouterr().out) == digest
+
+
+def corrupt(bad: int):
+    def coeffs(i: int):
+        table = coeff_ai(i)
+        return -table if i == bad else table
+    return coeffs
+
+
+def test_shared_work_stays_within_one_run():
+    spec = SuiteSpec("diffeq", 5, 5)
+    for bad in range(1, 6):
+        clean = run_suite(spec)
+        assert clean.all_passed(), bad
+        failing = {(c.identity, tuple(c.indices)) for c in run_suite(spec, corrupt(bad)).cases
+                   if c.status == "fail"}
+        expected = {(tag, (n,)) for tag in MASS_TAGS for n in range(bad, 6)}
+        expected |= {(tag, (bad,)) for tag in ("coeff-structure", "leading-x", "uniqueness")}
+        assert failing == expected, bad
+    assert run_suite(spec).all_passed()
+
+
+def test_norm_certificate_rejects_a_negative_coefficient(monkeypatch):
+    assert all(verify._norm_positive(n) for n in range(13))
+    # a negative term off the N = 0 slice, which sampling could miss
+    honest = pm.norm_general
+    monkeypatch.setattr(pm, "norm_general", lambda n: honest(n) - A**40 * N)
+    assert not any(verify._norm_positive(n) for n in range(13))
