@@ -164,10 +164,6 @@ def coeff_ai(i: int) -> Poly:
     return total
 
 
-def _table(coeffs: CoeffProvider | None) -> CoeffProvider:
-    return coeff_ai if coeffs is None else coeffs
-
-
 @dataclass(frozen=True)
 class CoeffTable:
     """Both coefficient families: a0 keyed by degree n, ai keyed by order i."""
@@ -176,21 +172,19 @@ class CoeffTable:
     ai: dict[int, Poly]
 
 
-def build_coeff_table(max_i: int, coeffs: CoeffProvider | None = None) -> CoeffTable:
+def build_coeff_table(max_i: int) -> CoeffTable:
     if max_i < 1:
         raise ValueError("max_i must be >= 1")
-    table = _table(coeffs)
     return CoeffTable(
         a0={n: coeff_a0(n) for n in range(max_i + 1)},
-        ai={i: table(i) for i in range(1, max_i + 1)},
+        ai={i: coeff_ai(i) for i in range(1, max_i + 1)},
     )
 
 
-def mass_operator(n: int, order: int, coeffs: CoeffProvider | None = None) -> DiffOperator:
+def mass_operator(n: int, order: int, coeffs: CoeffProvider = coeff_ai) -> DiffOperator:
     """sum_{i=0}^{order} ai Delta^i with the degree-n order-zero coefficient."""
-    table = _table(coeffs)
     items = [(coeff_a0(n), 0, 0)]
-    items.extend((table(i), i, 0) for i in range(1, order + 1))
+    items.extend((coeffs(i), i, 0) for i in range(1, order + 1))
     return DiffOperator(items)
 
 
@@ -208,17 +202,19 @@ def _mass_closed_form(n: int, point: int) -> Poly:
 
 
 class OperatorActions:
-    """Difference chains and operator actions shared by the identities of one
-    verify run.
+    """Difference chains, operator actions and coefficient checks shared by
+    the identities of one verify run.
 
     Each chain, each action of a degree-n mass operator and each left-hand
     side of the equation is built once, on first use, and keyed by integer
-    indices, never by a polynomial.  The mass operators read the coefficient
-    provider given here, so an instance serves the one run it was made for.
+    indices, never by a polynomial.  This is the one place a coefficient
+    provider enters: ``ai`` is ``coeffs``, or ``coeff_ai`` when none is given,
+    and every mass operator and coefficient check here reads it, so an
+    instance serves the one run it was made for.
     """
 
     def __init__(self, coeffs: CoeffProvider | None = None) -> None:
-        self.coeffs = coeffs
+        self.ai: CoeffProvider = coeff_ai if coeffs is None else coeffs
         self._chains: dict[tuple[str, int], DifferenceChain] = {}
         self._mixed: dict[int, list[DifferenceChain]] = {}
         self._mass: dict[tuple[str, int], Poly] = {}
@@ -243,7 +239,7 @@ class OperatorActions:
         key = (argument, n)
         action = self._mass.get(key)
         if action is None:
-            op = mass_operator(n, n, self.coeffs)
+            op = mass_operator(n, n, self.ai)
             action = self._mass[key] = op.apply(self.chain(argument, n))
         return action
 
@@ -294,6 +290,30 @@ class OperatorActions:
         pure = self.mixed_difference(n, i, 0)
         return mixed.coeff_of(Var.X, n - i) == pure.coeff_of(Var.X, n - i)
 
+    def verify_leading_x(self, i: int) -> bool:
+        h = self.ai(i).coeff_of(Var.X, i)
+        if not h:
+            return False
+        if h != leading_x_closed_form(i) or h != leading_x_laguerre_form(i):
+            return False
+        return i < 2 or h == leading_x_laguerre_chain(i)
+
+    def verify_degree_claims(self, i: int) -> bool:
+        if i < 1:
+            raise ValueError("order must be >= 1")
+        ai = self.ai(i)
+        if ai.substitute(Var.X, 0):
+            return False
+        if ai.degree_in(Var.X) > i:
+            return False
+        if ai.degree_in(Var.A) != 2 * i - 2:
+            return False
+        expected = X * Fraction(parity_sign(i), factorial(i) * factorial(i - 1))
+        return ai.coeff_of(Var.A, 2 * i - 2) == expected
+
+    def verify_degree_escalation(self, i: int) -> bool:
+        return self.ai(i).degree_in(Var.X) >= i or self.ai(i + 1).degree_in(Var.X) == i + 1
+
 
 # -- the equation itself -----------------------------------------------------
 
@@ -308,24 +328,24 @@ def apply_difference_equation(n: int, coeffs: CoeffProvider | None = None) -> Po
     return OperatorActions(coeffs).equation(n)
 
 
-def verify_difference_equation(n: int, coeffs: CoeffProvider | None = None) -> bool:
-    return not apply_difference_equation(n, coeffs)
+def verify_difference_equation(n: int) -> bool:
+    return not apply_difference_equation(n)
 
 
-def mass_action_residual(n: int, coeffs: CoeffProvider | None = None) -> Poly:
+def mass_action_residual(n: int) -> Poly:
     """Action of the mass operator on charlier(n), minus its closed form
     (-1)^(n-1) C_n(0) C_{n-1}(x-2)."""
-    return OperatorActions(coeffs).mass_action_residual(n)
+    return OperatorActions().mass_action_residual(n)
 
 
-def mass_action_shifted_residual(n: int, coeffs: CoeffProvider | None = None) -> Poly:
+def mass_action_shifted_residual(n: int) -> Poly:
     """Same action on charlier(n) shifted by -1; closed form carries C_n(-1)."""
-    return OperatorActions(coeffs).mass_action_shifted_residual(n)
+    return OperatorActions().mass_action_shifted_residual(n)
 
 
-def mass_action_cross_residual(n: int, coeffs: CoeffProvider | None = None) -> Poly:
+def mass_action_cross_residual(n: int) -> Poly:
     """C_n(-1) times the action at x, minus C_n(0) times the action at x-1."""
-    return OperatorActions(coeffs).mass_action_cross_residual(n)
+    return OperatorActions().mass_action_cross_residual(n)
 
 
 def verify_mass_action(n: int) -> bool:
@@ -356,9 +376,9 @@ def verify_shifted_second_order(n: int) -> bool:
 # -- leading coefficients and degree structure -------------------------------
 
 
-def leading_x_coeff(i: int, coeffs: CoeffProvider | None = None) -> Poly:
+def leading_x_coeff(i: int) -> Poly:
     """Coefficient of x^i in coeff_ai(i), a polynomial in a."""
-    return _table(coeffs)(i).coeff_of(Var.X, i)
+    return coeff_ai(i).coeff_of(Var.X, i)
 
 
 def leading_x_closed_form(i: int) -> Poly:
@@ -389,43 +409,23 @@ def leading_x_laguerre_chain(i: int) -> Poly:
     )
 
 
-def verify_leading_x(i: int, coeffs: CoeffProvider | None = None) -> bool:
-    """The x^i coefficient matches every closed form and is not the zero
-    polynomial in a."""
-    h = leading_x_coeff(i, coeffs)
-    if not h:
-        return False
-    if h != leading_x_closed_form(i) or h != leading_x_laguerre_form(i):
-        return False
-    if i >= 2 and h != leading_x_laguerre_chain(i):
-        return False
-    return True
+def verify_leading_x(i: int) -> bool:
+    """The x^i coefficient of coeff_ai(i) matches every closed form and is
+    not the zero polynomial in a."""
+    return OperatorActions().verify_leading_x(i)
 
 
-def verify_degree_claims(i: int, coeffs: CoeffProvider | None = None) -> bool:
+def verify_degree_claims(i: int) -> bool:
     """Structure of coeff_ai(i): vanishes at x = 0, x-degree at most i,
     a-degree exactly 2i-2, and the a^(2i-2) coefficient is
     (-1)^i x / (i! (i-1)!)."""
-    if i < 1:
-        raise ValueError("order must be >= 1")
-    ai = _table(coeffs)(i)
-    if ai.substitute(Var.X, 0):
-        return False
-    if ai.degree_in(Var.X) > i:
-        return False
-    if ai.degree_in(Var.A) != 2 * i - 2:
-        return False
-    expected = X * Fraction(parity_sign(i), factorial(i) * factorial(i - 1))
-    return ai.coeff_of(Var.A, 2 * i - 2) == expected
+    return OperatorActions().verify_degree_claims(i)
 
 
-def verify_degree_escalation(i: int, coeffs: CoeffProvider | None = None) -> bool:
+def verify_degree_escalation(i: int) -> bool:
     """If the x-degree of coeff_ai(i) falls below i, the next coefficient
     attains full x-degree i+1."""
-    table = _table(coeffs)
-    if table(i).degree_in(Var.X) >= i:
-        return True
-    return table(i + 1).degree_in(Var.X) == i + 1
+    return OperatorActions().verify_degree_escalation(i)
 
 
 def verify_mixed_leading(i: int, k: int, n: int) -> bool:
@@ -470,11 +470,10 @@ def solve_coefficients(max_i: int) -> dict[int, Poly]:
     return solved
 
 
-def verify_uniqueness(max_i: int, coeffs: CoeffProvider | None = None) -> bool:
+def verify_uniqueness(max_i: int) -> bool:
     """Forward substitution reproduces the closed-form coefficients."""
-    table = _table(coeffs)
     solved = solve_coefficients(max_i)
-    return all(solved[i] == table(i) for i in range(1, max_i + 1))
+    return all(solved[i] == coeff_ai(i) for i in range(1, max_i + 1))
 
 
 # -- the unbounded-order rewritings ------------------------------------------
@@ -500,14 +499,14 @@ def verify_classical_infinite_order(n: int) -> bool:
     return not classical_infinite_order_residual(n)
 
 
-def combined_equation_residual(n: int, coeffs: CoeffProvider | None = None) -> Poly:
+def combined_equation_residual(n: int) -> Poly:
     """The equation with the classical part expanded through the alternating
     difference series, at y = gen_charlier(n)."""
-    return OperatorActions(coeffs).combined_equation_residual(n)
+    return OperatorActions().combined_equation_residual(n)
 
 
-def verify_combined_equation(n: int, coeffs: CoeffProvider | None = None) -> bool:
-    return not combined_equation_residual(n, coeffs)
+def verify_combined_equation(n: int) -> bool:
+    return not combined_equation_residual(n)
 
 
 # -- shared roots of consecutive leading coefficients -------------------------

@@ -362,32 +362,41 @@ class Poly:
 
     # -- rendering -----------------------------------------------------------
 
-    def __str__(self) -> str:
+    def _render(self, sep: str, power: str, fraction: str) -> str:
+        # The one term renderer: sep joins factors, power formats v^e from
+        # (name, e) and fraction formats a magnitude from (top, bottom).
         if not self._terms:
             return "0"
         den = self._den
         parts: list[str] = []
         for key, num in self._ordered():
             exp = Poly._unpack(key)
-            mono = "*".join(
-                _VAR_NAMES[v] if exp[v.value] == 1 else f"{_VAR_NAMES[v]}^{exp[v.value]}"
+            mono = sep.join(
+                _VAR_NAMES[v] if exp[v.value] == 1 else power.format(_VAR_NAMES[v], exp[v.value])
                 for v in _PRINT_ORDER
                 if exp[v.value]
             )
             g = gcd(num, den)
             top, bottom = abs(num) // g, den // g
-            mag = str(top) if bottom == 1 else f"{top}/{bottom}"
+            mag = str(top) if bottom == 1 else fraction.format(top, bottom)
             if not mono:
                 body = mag
             elif top == bottom == 1:
                 body = mono
             else:
-                body = f"{mag}*{mono}"
+                body = f"{mag}{sep}{mono}"
             if not parts:
                 parts.append(f"-{body}" if num < 0 else body)
             else:
                 parts.append(f" - {body}" if num < 0 else f" + {body}")
         return "".join(parts)
+
+    def __str__(self) -> str:
+        return self._render("*", "{}^{}", "{}/{}")
+
+    def latex(self) -> str:
+        """LaTeX form of the canonical rendering, in the same term order."""
+        return self._render(" ", "{}^{{{}}}", "\\frac{{{}}}{{{}}}")
 
     def __repr__(self) -> str:
         return f"Poly('{self}')"

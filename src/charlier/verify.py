@@ -203,7 +203,7 @@ def _stratified_residual(lhs: Poly) -> Poly:
 
 def _diffeq_cases(spec: SuiteSpec, coeffs: CoeffProvider | None) -> Iterable[Case]:
     n_max, i_max = spec.n_max, spec.i_max
-    # Chains and operator actions depend on coeffs: shared by this run only.
+    # The only holder of the coefficient provider; shared by this run only.
     actions = dq.OperatorActions(coeffs)
     for n in range(n_max + 1):
         yield "difference-equation", (n,), lambda n=n: actions.equation(n)
@@ -224,13 +224,12 @@ def _diffeq_cases(spec: SuiteSpec, coeffs: CoeffProvider | None) -> Iterable[Cas
             solved.update(dq.solve_coefficients(i_max))
         return solved[i]
 
-    table = dq.coeff_ai if coeffs is None else coeffs
     for i in range(1, i_max + 1):
-        yield "coeff-structure", (i,), lambda i=i: dq.verify_degree_claims(i, coeffs)
-        yield "leading-x", (i,), lambda i=i: dq.verify_leading_x(i, coeffs)
-        yield "uniqueness", (i,), lambda i=i: _solved(i) - table(i)
+        yield "coeff-structure", (i,), lambda i=i: actions.verify_degree_claims(i)
+        yield "leading-x", (i,), lambda i=i: actions.verify_leading_x(i)
+        yield "uniqueness", (i,), lambda i=i: _solved(i) - actions.ai(i)
     for i in range(1, i_max):
-        yield "degree-escalation", (i,), lambda i=i: dq.verify_degree_escalation(i, coeffs)
+        yield "degree-escalation", (i,), lambda i=i: actions.verify_degree_escalation(i)
     for i in range(1, min(i_max, 6) + 1):
         yield "coprime-leading", (i,), lambda i=i: dq.verify_leading_coprime(i)
     for i in range(min(i_max, 8) + 1):
