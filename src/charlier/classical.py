@@ -19,22 +19,31 @@ from functools import cache
 from math import factorial
 from typing import Sequence
 
-from .polynomials import A, Poly, RationalLike, Var, X, parity_sign
+from .polynomials import A, Poly, RationalLike, Var, X, _rational, parity_sign
+
+
+# binom(x, k) for k < len(_BINOMIALS), extended upward by binom_poly.
+_BINOMIALS = [Poly.const(1)]
 
 
 def binom_poly(k: int) -> Poly:
-    """binom(x, k) as the falling-factorial polynomial x(x-1)...(x-k+1)/k!."""
+    """binom(x, k) as the falling-factorial polynomial x(x-1)...(x-k+1)/k!.
+
+    The basis is built once, upward from binom(x, 0) = 1 by
+    binom(x, j) = binom(x, j-1) * (x-j+1)/j, in a loop, so no k recurses.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    out = Poly.const(Fraction(1, factorial(k)))
-    for j in range(k):
-        out = out * (X - j)
-    return out
+    basis = _BINOMIALS
+    while len(basis) <= k:
+        j = len(basis)
+        basis.append(basis[-1] * (X - (j - 1)) / j)
+    return basis[k]
 
 
 def binom_rational(p: RationalLike, k: int) -> Fraction:
     """binom(p, k) for arbitrary rational p, via the falling factorial."""
-    p = Fraction(p)
+    p = _rational(p)
     out = Fraction(1, factorial(k))
     for j in range(k):
         out *= p - j
@@ -43,7 +52,10 @@ def binom_rational(p: RationalLike, k: int) -> Fraction:
 
 @cache
 def charlier(n: int) -> Poly:
-    """Degree-n member of the family; n = -1 gives the zero polynomial."""
+    """Degree-n member of the family; n = -1 gives the zero polynomial.
+
+    charlier(n) = sum_{k=0}^{n} binom(x, k) (-a)^(n-k) / (n-k)!.
+    """
     if n < -1:
         raise ValueError("index must be >= -1")
     if n == -1:
@@ -128,7 +140,7 @@ def verify_second_order(n: int) -> bool:
 
 def shift_identity_residual(n: int, p: RationalLike) -> Poly:
     """charlier(n) at x + p minus its expansion sum binom(p, k) charlier(n-k)."""
-    p = Fraction(p)
+    p = _rational(p)
     rhs = Poly()
     for k in range(n + 1):
         rhs = rhs + charlier(n - k) * binom_rational(p, k)

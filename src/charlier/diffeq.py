@@ -148,19 +148,35 @@ def coeff_a0(n: int) -> Poly:
 
 
 @cache
+def _front(j: int) -> Poly:
+    """charlier(j) at parameter -a and argument 1 - x."""
+    return charlier_mirror(j).shift_x(-1)
+
+
+@cache
+def _bracket(k: int) -> Poly:
+    """(-1)^k [C_k(-1) C_k(x-2) - C_k(-2) C_k(x-1)] with C_k = charlier(k)."""
+    ck = charlier(k)
+    bracket = ck.substitute(Var.X, -1) * ck.shift_x(-2) - ck.substitute(
+        Var.X, -2
+    ) * ck.shift_x(-1)
+    return bracket * parity_sign(k)
+
+
+@cache
 def coeff_ai(i: int) -> Poly:
-    """Coefficient of the i-th forward difference, i >= 1; independent of n."""
+    """Coefficient of the i-th forward difference, i >= 1; independent of n.
+
+    The convolution sum_{k=1}^{i} M_{i-k}(x) B_k(x), where the front
+    M_j = ``_front(j)`` depends only on j = i - k and the bracket
+    B_k = ``_bracket(k)`` only on k; each is built once per index and shared
+    by every order that reads it.
+    """
     if i < 1:
         raise ValueError("order must be >= 1")
     total = Poly()
     for k in range(1, i + 1):
-        # charlier(i-k) at parameter -a and argument 1-x
-        front = charlier_mirror(i - k).shift_x(-1)
-        ck = charlier(k)
-        bracket = ck.substitute(Var.X, -1) * ck.shift_x(-2) - ck.substitute(
-            Var.X, -2
-        ) * ck.shift_x(-1)
-        total = total + front * bracket * parity_sign(k)
+        total = total + _front(i - k) * _bracket(k)
     return total
 
 
@@ -461,11 +477,14 @@ def solve_coefficients(max_i: int) -> dict[int, Poly]:
     """
     if max_i < 1:
         raise ValueError("max_i must be >= 1")
+    # charlier(m)(x-1) for m < max_i, each shifted once; kept local so that
+    # this route shares nothing with coeff_ai.
+    shifted = [charlier(m).shift_x(-1) for m in range(max_i)]
     solved: dict[int, Poly] = {}
     for n in range(1, max_i + 1):
         acc = forward_substitution_rhs(n)
         for i in range(1, n):
-            acc = acc - solved[i] * charlier(n - i).shift_x(-1)
+            acc = acc - solved[i] * shifted[n - i]
         solved[n] = acc
     return solved
 

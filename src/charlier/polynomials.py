@@ -63,6 +63,17 @@ _LOW = (1 << _SX) - 1  # the a and N fields of a key
 _GUARD = sum(EXPONENT_LIMIT << s for s in _SHIFTS)
 
 
+def _rational(value: object) -> Fraction:
+    """value as a Fraction, if it is an exact number: an int or a Fraction.
+
+    Anything else, a float above all, raises TypeError instead of being
+    silently turned into its binary expansion.
+    """
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"expected an int or a Fraction, got {type(value).__name__}")
+    return Fraction(value)
+
+
 def parity_sign(k: int) -> int:
     """(-1)**k, robust for negative k."""
     return -1 if k % 2 else 1
@@ -74,7 +85,7 @@ class Poly:
     __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[Exponent, RationalLike] | None = None) -> None:
-        coeffs = {Poly._pack(exp): Fraction(c) for exp, c in (terms or {}).items()}
+        coeffs = {Poly._pack(exp): _rational(c) for exp, c in (terms or {}).items()}
         den = lcm(*(c.denominator for c in coeffs.values()))
         canon = Poly._make(
             {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den
@@ -115,7 +126,7 @@ class Poly:
 
     @classmethod
     def const(cls, value: RationalLike) -> "Poly":
-        c = Fraction(value)
+        c = _rational(value)
         return cls._raw({0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
@@ -178,7 +189,7 @@ class Poly:
         n: RationalLike = 0,
     ) -> Fraction:
         """Exact value at a rational point (x, a, N)."""
-        vx, va, vn = Fraction(x), Fraction(a), Fraction(n)
+        vx, va, vn = _rational(x), _rational(a), _rational(n)
         total = Fraction(0)
         for key, num in self._terms.items():
             ex, ea, en = Poly._unpack(key)
@@ -294,9 +305,9 @@ class Poly:
 
     def substitute(self, v: Var, value: RationalLike) -> "Poly":
         """Replace the variable v by a rational constant."""
+        c = _rational(value)
         if not self._terms:
             return self
-        c = Fraction(value)
         shift = _SHIFTS[v.value]
         deg = self._degree(shift)
         # value**e = p**e * q**(deg - e) / q**deg
@@ -319,7 +330,7 @@ class Poly:
 
     def shift_x(self, offset: RationalLike) -> "Poly":
         """Substitute x -> x + offset, expanded exactly by the binomial theorem."""
-        c = Fraction(offset)
+        c = _rational(offset)
         if not c or not self._terms:
             return self
         deg = self._degree(_SX)

@@ -1,17 +1,23 @@
-"""Reference routes for the tests: operators and inner products the slow way.
+"""Reference routes for the tests: operators, inner products, the Charlier
+family and the coefficient family the slow way.
 
 These are the straightforward forms that the shared-work layers replaced:
-each operator term builds its own Nabla^m then Delta^d of the argument, and an
+each operator term builds its own Nabla^m then Delta^d of the argument, an
 inner product forms the full product p*q and reads its x-coefficients off one
-by one.  They are slow and obviously right, and the property tests require
-the library routes to match them exactly.
+by one, charlier(n) rebuilds every binom(x, k) from k linear factors, and
+a_i rebuilds every front and bracket of its convolution.  They are slow and
+obviously right, and the tests require the library routes to match them
+exactly.
 """
 
 from __future__ import annotations
 
-from charlier.classical import moment
+from fractions import Fraction
+from math import factorial
+
+from charlier.classical import charlier, charlier_mirror, moment
 from charlier.diffeq import DiffOperator
-from charlier.polynomials import N, Poly, Var
+from charlier.polynomials import A, N, Poly, Var, X, parity_sign
 
 
 def reference_apply(op: DiffOperator, y: Poly) -> Poly:
@@ -40,3 +46,35 @@ def reference_inner_product_general(p: Poly, q: Poly) -> Poly:
     """The classical functional plus the mass term N p(0) q(0)."""
     mass = N * p.substitute(Var.X, 0) * q.substitute(Var.X, 0)
     return reference_inner_product_classical(p, q) + mass
+
+
+def reference_binom_poly(k: int) -> Poly:
+    """x(x-1)...(x-k+1)/k!, from its k linear factors."""
+    out = Poly.const(Fraction(1, factorial(k)))
+    for j in range(k):
+        out = out * (X - j)
+    return out
+
+
+def reference_charlier(n: int) -> Poly:
+    """sum_k binom(x, k) (-a)^(n-k)/(n-k)!, every binomial built afresh."""
+    total = Poly()
+    for k in range(n + 1):
+        total = total + reference_binom_poly(k) * A ** (n - k) * Fraction(
+            parity_sign(n - k), factorial(n - k)
+        )
+    return total
+
+
+def reference_coeff_ai(i: int) -> Poly:
+    """sum_k charlier_mirror(i-k)(x-1) (-1)^k [C_k(-1) C_k(x-2) - C_k(-2) C_k(x-1)],
+    the front and the bracket of every k rebuilt for this i."""
+    total = Poly()
+    for k in range(1, i + 1):
+        front = charlier_mirror(i - k).shift_x(-1)
+        ck = charlier(k)
+        bracket = ck.substitute(Var.X, -1) * ck.shift_x(-2) - ck.substitute(
+            Var.X, -2
+        ) * ck.shift_x(-1)
+        total = total + front * bracket * parity_sign(k)
+    return total
