@@ -29,7 +29,7 @@ from math import factorial
 from typing import Callable, Iterable
 
 from .classical import charlier, charlier_mirror, laguerre
-from .pointmass import gen_charlier
+from .pointmass import gen_charlier, gen_weights, shifted_charlier
 from .polynomials import A, N, Poly, Var, X, parity_sign
 
 CoeffProvider = Callable[[int], Poly]
@@ -206,8 +206,8 @@ def mass_operator(n: int, order: int, coeffs: CoeffProvider = coeff_ai) -> DiffO
 
 # -- operator actions shared within one run ---------------------------------
 
-# What the degree-n mass operator is applied to: gen_charlier(n), charlier(n)
-# and charlier(n) shifted by -1.
+# The arguments whose chains and degree-n mass actions are kept:
+# gen_charlier(n), charlier(n) and charlier(n) shifted by -1.
 ARGUMENTS = ("generalized", "charlier", "shifted")
 
 
@@ -243,24 +243,40 @@ class OperatorActions:
         if chain is None:
             if argument not in ARGUMENTS:
                 raise ValueError(f"unknown argument {argument!r}")
-            y = gen_charlier(n) if argument == "generalized" else charlier(n)
-            if argument == "shifted":
-                y = y.shift_x(-1)
+            if argument == "generalized":
+                y = gen_charlier(n)
+            elif argument == "charlier":
+                y = charlier(n)
+            else:
+                y = shifted_charlier(n)
             chain = self._chains[key] = DifferenceChain(y)
         return chain
 
     def mass(self, argument: str, n: int) -> Poly:
         """sum_{i=0}^{n} ai Delta^i with the degree-n a0, applied to the
-        argument; the sum stops at order n, exact since deg_x is n."""
+        argument; the sum stops at order n, exact since deg_x is n.
+
+        The operator is applied to the two classical arguments only.  Since
+        gen_charlier(n) = scale C_n(x) - offset C_n(x-1) with weights free
+        of x, its action is the same combination of theirs.
+        """
         key = (argument, n)
         action = self._mass.get(key)
         if action is None:
-            op = mass_operator(n, n, self.ai)
-            action = self._mass[key] = op.apply(self.chain(argument, n))
+            if argument == "generalized":
+                scale, offset = gen_weights(n)
+                action = scale * self.mass("charlier", n) - offset * self.mass("shifted", n)
+            else:
+                op = mass_operator(n, n, self.ai)
+                action = op.apply(self.chain(argument, n))
+            self._mass[key] = action
         return action
 
     def equation(self, n: int) -> Poly:
-        """Left-hand side of the full equation at y = gen_charlier(n)."""
+        """Left-hand side of the full equation at y = gen_charlier(n).
+
+        The classical part reads the chain of gen_charlier(n) itself, up to
+        its second difference; the mass part comes from the two pieces."""
         lhs = self._equations.get(n)
         if lhs is None:
             y = self.chain("generalized", n)
@@ -288,8 +304,15 @@ class OperatorActions:
     def combined_equation_residual(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("index must be >= 0")
-        series = classical_series_operator(n).apply(self.chain("generalized", n))
-        return N * self.mass("generalized", n) + series
+        # Linear with x-free weights, like the mass part: the series operator
+        # reads the two pieces' chains, which the mass actions have built.
+        series = classical_series_operator(n)
+        scale, offset = gen_weights(n)
+        return (
+            N * self.mass("generalized", n)
+            + scale * series.apply(self.chain("charlier", n))
+            - offset * series.apply(self.chain("shifted", n))
+        )
 
     def mixed_difference(self, n: int, k: int, m: int) -> Poly:
         """Delta^k Nabla^m charlier(n), from one forward chain per (n, m)

@@ -14,24 +14,42 @@ from functools import cache
 from math import factorial
 
 from .classical import charlier, dot_moments, moments_of
+from .classical import moment_vector as classical_moment_vector
 from .polynomials import N, Poly, Var, parity_sign
+
+
+@cache
+def gen_weights(n: int) -> tuple[Poly, Poly]:
+    """The weights (scale, offset) of gen_charlier(n) = scale C_n(x) - offset C_n(x-1).
+
+    scale = 1 + N (-1)^n C_n(-1) and offset = N (-1)^n C_n(0), with
+    C_n = charlier(n).  Both are polynomials in (a, N) free of x, which is
+    what lets every x-linear functional of gen_charlier(n) be read off the
+    same functional of the two classical pieces.
+    """
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    cn = charlier(n)
+    s = parity_sign(n)
+    return 1 + N * cn.substitute(Var.X, -1) * s, N * cn.substitute(Var.X, 0) * s
+
+
+@cache
+def shifted_charlier(n: int) -> Poly:
+    """C_n(x-1), the second classical piece of gen_charlier(n)."""
+    return charlier(n).shift_x(-1)
 
 
 @cache
 def gen_charlier(n: int) -> Poly:
     """Degree-n member of the point-mass family, affine in N.
 
-    Built as a combination of charlier(n) and its backward shift whose
-    weights are fixed by the two orthogonality conditions the classical
-    family does not already grant.
+    gen_charlier(n) = scale C_n(x) - offset C_n(x-1) with the x-free weights
+    (scale, offset) = gen_weights(n), fixed by the two orthogonality
+    conditions the classical family does not already grant.
     """
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    cn = charlier(n)
-    s = parity_sign(n)
-    scale = 1 + N * cn.substitute(Var.X, -1) * s
-    offset = N * cn.substitute(Var.X, 0) * s
-    return scale * cn - offset * cn.shift_x(-1)
+    scale, offset = gen_weights(n)
+    return scale * charlier(n) - offset * shifted_charlier(n)
 
 
 def alternative_form_residual(n: int) -> Poly:
@@ -68,8 +86,19 @@ def inner_product_general(p: Poly, q: Poly) -> Poly:
 
 @cache
 def moment_vector(n: int) -> tuple[Poly, ...]:
-    """<x^j, gen_charlier(n)> under the point-mass inner product, j = 0..n."""
-    return tuple(_general_moments(gen_charlier(n), n + 1))
+    """<x^j, gen_charlier(n)> under the point-mass inner product, j = 0..n.
+
+    By linearity in the x-free weights of gen_weights(n), the classical part
+    is scale * classical.moment_vector(n) - offset * (moments of C_n(x-1));
+    the mass term N gen_charlier(n)(0) enters entry 0 alone.
+    """
+    scale, offset = gen_weights(n)
+    shifted = moments_of(shifted_charlier(n), n + 1)
+    vector = [
+        scale * c - offset * t for c, t in zip(classical_moment_vector(n), shifted)
+    ]
+    vector[0] = vector[0] + N * gen_charlier(n).substitute(Var.X, 0)
+    return tuple(vector)
 
 
 def orthogonality_residual(m: int, n: int) -> Poly:
@@ -89,7 +118,7 @@ def verify_construction_steps(n: int) -> bool:
     (a) for n >= 2, gen_charlier(n) is orthogonal to x * x^j for j <= n-2,
         read off its moment vector (the mass term drops out since the test
         function vanishes at 0);
-    (b) for n >= 1, the chosen combination weights satisfy the remaining
+    (b) for n >= 1, the weights of gen_weights(n) satisfy the remaining
         constant-function condition.
     Degrees 0 and 1 make part (a) vacuous and pass trivially.
     """
@@ -101,12 +130,10 @@ def verify_construction_steps(n: int) -> bool:
             return False
     if n >= 1:
         cn = charlier(n)
-        s = parity_sign(n)
+        scale, offset = gen_weights(n)
         at_zero = cn.substitute(Var.X, 0)
         at_minus_one = cn.substitute(Var.X, -1)
-        scale = 1 + N * at_minus_one * s
-        offset = -N * at_zero * s
-        if N * scale * at_zero + (s + N * at_minus_one) * offset:
+        if N * scale * at_zero - (parity_sign(n) + N * at_minus_one) * offset:
             return False
     return True
 

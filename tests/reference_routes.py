@@ -4,8 +4,10 @@ family and the coefficient family the slow way.
 These are the straightforward forms that the shared-work layers replaced:
 each operator term builds its own Nabla^m then Delta^d of the argument, an
 inner product forms the full product p*q and reads its x-coefficients off one
-by one, charlier(n) rebuilds every binom(x, k) from k linear factors, and
-a_i rebuilds every front and bracket of its convolution.  They are slow and
+by one, charlier(n) rebuilds every binom(x, k) from k linear factors,
+a_i rebuilds every front and bracket of its convolution, and every
+functional of gen_charlier(n) is taken of gen_charlier(n) itself rather than
+of its two classical pieces.  They are slow and
 obviously right, and the tests require the library routes to match them
 exactly.
 """
@@ -16,7 +18,15 @@ from fractions import Fraction
 from math import factorial
 
 from charlier.classical import charlier, charlier_mirror, moment
-from charlier.diffeq import DiffOperator
+from charlier.diffeq import (
+    CoeffProvider,
+    DiffOperator,
+    DifferenceChain,
+    classical_operator,
+    classical_series_operator,
+    mass_operator,
+)
+from charlier.pointmass import _general_moments, gen_charlier
 from charlier.polynomials import A, N, Poly, Var, X, parity_sign
 
 
@@ -78,3 +88,28 @@ def reference_coeff_ai(i: int) -> Poly:
         ) * ck.shift_x(-1)
         total = total + front * bracket * parity_sign(k)
     return total
+
+
+def reference_gen_charlier(n: int) -> Poly:
+    """(1 + N s C_n(-1)) C_n(x) - N s C_n(0) C_n(x-1) with s = (-1)^n, the
+    construction written out in one expression."""
+    cn = charlier(n)
+    s = parity_sign(n)
+    scale = 1 + N * cn.substitute(Var.X, -1) * s
+    offset = N * cn.substitute(Var.X, 0) * s
+    return scale * cn - offset * cn.shift_x(-1)
+
+
+def reference_point_mass_actions(n: int, coeffs: CoeffProvider) -> tuple[Poly, Poly, Poly]:
+    """The degree-n mass action, the equation and the combined equation at
+    gen_charlier(n), every operator applied to the chain of gen_charlier(n)."""
+    chain = DifferenceChain(gen_charlier(n))
+    mass = mass_operator(n, n, coeffs).apply(chain)
+    equation = N * mass + classical_operator(n).apply(chain)
+    combined = N * mass + classical_series_operator(n).apply(chain)
+    return mass, equation, combined
+
+
+def reference_point_mass_moments(n: int) -> list[Poly]:
+    """<x^j, gen_charlier(n)> for j = 0..n, from gen_charlier(n) itself."""
+    return _general_moments(gen_charlier(n), n + 1)

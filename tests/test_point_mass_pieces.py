@@ -1,0 +1,97 @@
+"""The point-mass family read through its two classical pieces.
+
+gen_charlier(n) = scale C_n(x) - offset C_n(x-1) with weights free of x, so
+its mass action, both forms of the equation and its moment vector are
+combinations of the same functionals of charlier(n) and of the one cached
+C_n(x-1).  Each must equal the direct route exactly, also under a corrupt
+coefficient provider, and a wrong shared piece must still fail the run.
+"""
+
+import pytest
+
+from charlier import diffeq as dq
+from charlier import pointmass as pm
+from charlier.diffeq import OperatorActions, coeff_ai
+from charlier.polynomials import Var, X
+from charlier.verify import SuiteSpec, run_suite
+from reference_routes import (
+    reference_gen_charlier,
+    reference_point_mass_actions,
+    reference_point_mass_moments,
+)
+
+
+def negated_a3(i):
+    return -coeff_ai(i) if i == 3 else coeff_ai(i)
+
+
+PROVIDERS = {"coeff_ai": coeff_ai, "negated_a3": negated_a3}
+
+
+def assert_identical(got, expected):
+    assert got == expected
+    assert got.terms() == expected.terms()
+
+
+@pytest.mark.parametrize("provider", sorted(PROVIDERS))
+@pytest.mark.parametrize("n", range(13))
+def test_actions_match_direct_route(provider, n):
+    coeffs = PROVIDERS[provider]
+    actions = OperatorActions(coeffs)
+    mass, equation, combined = reference_point_mass_actions(n, coeffs)
+    assert_identical(actions.mass("generalized", n), mass)
+    assert_identical(actions.equation(n), equation)
+    assert_identical(actions.combined_equation_residual(n), combined)
+    # the corrupt a_3 reaches the generalized action from degree 3 on
+    if provider == "negated_a3" and n >= 3:
+        assert mass != OperatorActions().mass("generalized", n)
+        assert equation
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_moment_vector_matches_direct_route(n):
+    expected = reference_point_mass_moments(n)
+    got = pm.moment_vector(n)
+    assert len(got) == len(expected) == n + 1
+    for entry, reference in zip(got, expected):
+        assert_identical(entry, reference)
+
+
+@pytest.mark.parametrize("n", range(21))
+def test_gen_charlier_is_the_written_construction(n):
+    assert_identical(pm.gen_charlier(n), reference_gen_charlier(n))
+    # the route through the pieces is exact linearity only for x-free weights
+    assert all(w.degree_in(Var.X) <= 0 for w in pm.gen_weights(n))
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_generalized_chain_stops_at_order_two(n):
+    actions = OperatorActions()
+    actions.equation(n)
+    actions.combined_equation_residual(n)
+    assert len(actions.chain("generalized", n)._powers) <= 3
+
+
+def test_checker_catches_a_wrong_shifted_piece(monkeypatch):
+    right = pm.shifted_charlier
+
+    def wrong(n):
+        return right(n) + X if n == 3 else right(n)
+
+    def clear_caches():
+        for cached in (right, pm.gen_charlier, pm.moment_vector):
+            cached.cache_clear()
+
+    spec = SuiteSpec("all", 5, 5)
+    clear_caches()
+    for module in (pm, dq):
+        monkeypatch.setattr(module, "shifted_charlier", wrong)
+    try:
+        failing = {(c.identity, tuple(c.indices))
+                   for c in run_suite(spec).cases if c.status == "fail"}
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert {("difference-equation", (3,)), ("construction", (3,))} <= failing
+    assert all(3 in indices for _, indices in failing)
+    assert run_suite(spec).all_passed()

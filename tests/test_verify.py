@@ -19,6 +19,10 @@ PINNED_REPORTS = [
      "a3f6196688fa0642c865394cbf5f798b7b0085abb2b88a9bac9e559958aec68a"),
     (("verify", "--suite", "diffeq", "--n-max", "8", "--i-max", "8", "--corrupt-ai", "1"), 1,
      "410b9e53a97b059624af0522ea60144495734f1035d45f035c0dbba11ad49e6a"),
+    (("verify", "--suite", "all", "--n-max", "16", "--i-max", "16"), 0,
+     "e1c409d1e245a55ab0a59bc2df84742684017592bfe60f8ecb5aab5997c465a8"),
+    (("verify", "--suite", "diffeq", "--n-max", "12", "--i-max", "12", "--corrupt-ai", "5"), 1,
+     "918638ab6acaf120483a29fa31139ad1cdf7c1dcdc52315e6f7329cb545e87c0"),
 ]
 
 # Identities that read the mass operator of degree n >= I once the order-I
