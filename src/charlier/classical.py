@@ -19,7 +19,7 @@ from functools import cache
 from math import factorial
 from typing import Sequence
 
-from .polynomials import A, Poly, RationalLike, Var, X, _rational, parity_sign
+from .polynomials import A, Poly, RationalLike, Var, X, _rational, parity_sign, sum_products
 
 
 # binom(x, k) for k < len(_BINOMIALS), extended upward by binom_poly.
@@ -60,12 +60,10 @@ def charlier(n: int) -> Poly:
         raise ValueError("index must be >= -1")
     if n == -1:
         return Poly()
-    total = Poly()
-    for k in range(n + 1):
-        total = total + binom_poly(k) * A ** (n - k) * Fraction(
-            parity_sign(n - k), factorial(n - k)
-        )
-    return total
+    return sum_products(
+        (binom_poly(k), A ** (n - k) * Fraction(parity_sign(n - k), factorial(n - k)))
+        for k in range(n + 1)
+    )
 
 
 def charlier_mirror(n: int) -> Poly:
@@ -101,7 +99,7 @@ def laguerre(n: int, alpha: Poly | RationalLike, t: Var) -> Poly:
     if alpha.degree_in(t) > 0:
         raise ValueError("alpha must not involve t")
     tv = Poly.variable(t)
-    total = Poly()
+    pairs = []
     for k in range(n + 1):
         falling = 1
         for j in range(k):
@@ -109,8 +107,8 @@ def laguerre(n: int, alpha: Poly | RationalLike, t: Var) -> Poly:
         rising = Poly.const(1)
         for j in range(n - k):
             rising = rising * (alpha + (k + 1 + j))
-        total = total + rising * tv**k * Fraction(falling, factorial(k))
-    return total / factorial(n)
+        pairs.append((rising, tv**k * Fraction(falling, factorial(k) * factorial(n))))
+    return sum_products(pairs)
 
 
 # -- identity checks ---------------------------------------------------------
@@ -141,9 +139,7 @@ def verify_second_order(n: int) -> bool:
 def shift_identity_residual(n: int, p: RationalLike) -> Poly:
     """charlier(n) at x + p minus its expansion sum binom(p, k) charlier(n-k)."""
     p = _rational(p)
-    rhs = Poly()
-    for k in range(n + 1):
-        rhs = rhs + charlier(n - k) * binom_rational(p, k)
+    rhs = sum_products((charlier(n - k), binom_rational(p, k)) for k in range(n + 1))
     return charlier(n).shift_x(p) - rhs
 
 
@@ -155,9 +151,7 @@ def convolution_residual(i: int, j: int) -> Poly:
     """sum_k charlier(i-k) * charlier_mirror(k-j), minus the Kronecker delta."""
     if not 0 <= j <= i:
         raise ValueError("need 0 <= j <= i")
-    total = Poly()
-    for k in range(j, i + 1):
-        total = total + charlier(i - k) * charlier_mirror(k - j)
+    total = sum_products((charlier(i - k), charlier_mirror(k - j)) for k in range(j, i + 1))
     return total - (1 if i == j else 0)
 
 
@@ -174,9 +168,7 @@ def verify_inverse_matrix(n: int) -> bool:
     mirror = [[charlier_mirror(i - j) if j <= i else Poly() for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
-            entry = Poly()
-            for k in range(n):
-                entry = entry + lower[i][k] * mirror[k][j]
+            entry = sum_products((lower[i][k], mirror[k][j]) for k in range(n))
             if entry != (1 if i == j else 0):
                 return False
     return True
@@ -231,16 +223,15 @@ def moments_of(q: Poly, size: int) -> list[Poly]:
     """
     columns = [q.coeff_of(Var.X, k) for k in range(q.degree_in(Var.X) + 1)]
     return [
-        sum((c * moment(j + k) for k, c in enumerate(columns) if c), Poly())
+        sum_products((c, moment(j + k)) for k, c in enumerate(columns))
         for j in range(size)
     ]
 
 
 def dot_moments(p: Poly, vector: Sequence[Poly]) -> Poly:
     """<p, q> from the moment vector of q: sum_j [x^j]p * vector[j]."""
-    return sum(
-        (p.coeff_of(Var.X, j) * vector[j] for j in range(p.degree_in(Var.X) + 1)),
-        Poly(),
+    return sum_products(
+        (p.coeff_of(Var.X, j), vector[j]) for j in range(p.degree_in(Var.X) + 1)
     )
 
 

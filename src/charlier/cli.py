@@ -7,7 +7,8 @@ Subcommands:
     moments  moments of the weight as polynomials in a
 
 Exit codes: 0 success, 1 verification failure, 2 usage or I/O error.  Every
-index argument is at most INDEX_LIMIT; a larger one is a usage error.
+index argument is at most INDEX_LIMIT; a larger one is a usage error, and so
+is a --corrupt-ai order that the selected verify run never reads.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from .verify import SuiteSpec, run_suite
 from .version import __version__
 
 # Largest index any argument takes.  At this bound the slowest command,
-# verify --suite all --n-max 30 --i-max 30, takes under a minute (39 s on a
-# 2-vCPU Xeon, Python 3.11); far larger indices run for hours or reach the
-# exponent limit.
+# verify --suite all --n-max 30 --i-max 30, takes under a minute (about 17 s
+# on a 2-vCPU Xeon, Python 3.11); far larger indices run for hours or reach
+# the exponent limit.
 INDEX_LIMIT = 30
 
 
@@ -68,15 +69,17 @@ def _coeffs_latex(table: CoeffTable) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if not out:
-        sys.stdout.write(text)
-        return
     try:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        if out:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
         # Exit 1 means an identity failed; an I/O error is exit 2.
-        print(f"charlier: error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        target = out or "stdout"
+        print(f"charlier: error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         raise SystemExit(2) from None
 
 
@@ -104,6 +107,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     coeffs = None
     if args.corrupt_ai is not None:
         bad = args.corrupt_ai
+        # Only the diffeq suite reads a_i, and only orders 1..max(n_max, i_max):
+        # a self test that corrupts nothing would pass and prove nothing.
+        if args.suite not in ("diffeq", "all") or bad > max(args.n_max, args.i_max):
+            print(
+                f"charlier: error: --corrupt-ai {bad} is not read by "
+                f"--suite {args.suite} --n-max {args.n_max} --i-max {args.i_max}",
+                file=sys.stderr,
+            )
+            return 2
 
         def coeffs(i: int, bad: int = bad) -> Poly:
             table = coeff_ai(i)
@@ -160,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_index(1),
         default=None,
         metavar="I",
-        help="negate the order-I coefficient first (failure-path self test)",
+        help="negate the order-I coefficient first (failure-path self test); "
+        "the run must read it: suite diffeq or all, I <= max(--n-max, --i-max)",
     )
     p_verify.add_argument("--out", metavar="FILE")
     p_verify.set_defaults(handler=_cmd_verify)

@@ -28,9 +28,9 @@ from functools import cache
 from math import factorial
 from typing import Callable, Iterable
 
-from .classical import charlier, charlier_mirror, laguerre
+from .classical import binom_poly, charlier, laguerre
 from .pointmass import gen_charlier, gen_weights, shifted_charlier
-from .polynomials import A, N, Poly, Var, X, parity_sign
+from .polynomials import A, N, Poly, Var, X, parity_sign, sum_products
 
 CoeffProvider = Callable[[int], Poly]
 
@@ -102,7 +102,7 @@ class DiffOperator:
         unbounded-order operators act as finite sums on polynomials.
         """
         chain = DifferenceChain.of(y)
-        out = Poly()
+        pairs = []
         for term in self.terms:
             order = term.delta_order + term.nabla_order
             if order > chain.degree:
@@ -110,8 +110,8 @@ class DiffOperator:
             z = chain[order]
             if term.nabla_order:
                 z = z.shift_x(-term.nabla_order)
-            out = out + term.coeff * z
-        return out
+            pairs.append((term.coeff, z))
+        return sum_products(pairs)
 
 
 def classical_operator(n: int) -> DiffOperator:
@@ -148,36 +148,49 @@ def coeff_a0(n: int) -> Poly:
 
 
 @cache
-def _front(j: int) -> Poly:
-    """charlier(j) at parameter -a and argument 1 - x."""
-    return charlier_mirror(j).shift_x(-1)
-
-
-@cache
 def _bracket(k: int) -> Poly:
     """(-1)^k [C_k(-1) C_k(x-2) - C_k(-2) C_k(x-1)] with C_k = charlier(k)."""
     ck = charlier(k)
-    bracket = ck.substitute(Var.X, -1) * ck.shift_x(-2) - ck.substitute(
-        Var.X, -2
-    ) * ck.shift_x(-1)
-    return bracket * parity_sign(k)
+    s = parity_sign(k)
+    return sum_products([
+        (ck.substitute(Var.X, -1) * s, ck.shift_x(-2)),
+        (ck.substitute(Var.X, -2) * -s, ck.shift_x(-1)),
+    ])
+
+
+@cache
+def _reflected_binom(j: int) -> Poly:
+    """binom(1 - x, j), a polynomial in x alone with j + 1 terms."""
+    return binom_poly(j).negate_var(Var.X).shift_x(-1)
+
+
+@cache
+def _exp_coeff(m: int) -> Poly:
+    """a^m / m!, the t^m coefficient of e^(at)."""
+    return Poly({(0, m, 0): Fraction(1, factorial(m))})
+
+
+@cache
+def _bracket_sum(j: int) -> Poly:
+    """D_j = sum_{k=1}^{j} binom(1 - x, j - k) B_k with B_k = ``_bracket(k)``."""
+    return sum_products((_reflected_binom(j - k), _bracket(k)) for k in range(1, j + 1))
 
 
 @cache
 def coeff_ai(i: int) -> Poly:
     """Coefficient of the i-th forward difference, i >= 1; independent of n.
 
-    The convolution sum_{k=1}^{i} M_{i-k}(x) B_k(x), where the front
-    M_j = ``_front(j)`` depends only on j = i - k and the bracket
-    B_k = ``_bracket(k)`` only on k; each is built once per index and shared
-    by every order that reads it.
+    The convolution sum_{k=1}^{i} M_{i-k}(x) B_k(x) of the brackets
+    B_k = ``_bracket(k)`` with the fronts M_j = C_j(1 - x; -a), the t^j
+    coefficients of e^(at) (1 + t)^(1-x).  Splitting each front as
+    M_j = sum_m (a^m / m!) binom(1 - x, j - m) factors the convolution into
+    sum_{m=0}^{i-1} (a^m / m!) D_{i-m}, where D_j = ``_bracket_sum(j)`` holds
+    the large products, each built once and shared by every order that reads
+    it, and each product here is by a single monomial.
     """
     if i < 1:
         raise ValueError("order must be >= 1")
-    total = Poly()
-    for k in range(1, i + 1):
-        total = total + _front(i - k) * _bracket(k)
-    return total
+    return sum_products((_exp_coeff(m), _bracket_sum(i - m)) for m in range(i))
 
 
 @dataclass(frozen=True)
@@ -265,7 +278,9 @@ class OperatorActions:
         if action is None:
             if argument == "generalized":
                 scale, offset = gen_weights(n)
-                action = scale * self.mass("charlier", n) - offset * self.mass("shifted", n)
+                action = sum_products(
+                    [(scale, self.mass("charlier", n)), (-offset, self.mass("shifted", n))]
+                )
             else:
                 op = mass_operator(n, n, self.ai)
                 action = op.apply(self.chain(argument, n))
@@ -308,11 +323,11 @@ class OperatorActions:
         # reads the two pieces' chains, which the mass actions have built.
         series = classical_series_operator(n)
         scale, offset = gen_weights(n)
-        return (
-            N * self.mass("generalized", n)
-            + scale * series.apply(self.chain("charlier", n))
-            - offset * series.apply(self.chain("shifted", n))
-        )
+        return sum_products([
+            (N, self.mass("generalized", n)),
+            (scale, series.apply(self.chain("charlier", n))),
+            (-offset, series.apply(self.chain("shifted", n))),
+        ])
 
     def mixed_difference(self, n: int, k: int, m: int) -> Poly:
         """Delta^k Nabla^m charlier(n), from one forward chain per (n, m)
@@ -505,10 +520,10 @@ def solve_coefficients(max_i: int) -> dict[int, Poly]:
     shifted = [charlier(m).shift_x(-1) for m in range(max_i)]
     solved: dict[int, Poly] = {}
     for n in range(1, max_i + 1):
-        acc = forward_substitution_rhs(n)
-        for i in range(1, n):
-            acc = acc - solved[i] * shifted[n - i]
-        solved[n] = acc
+        solved[n] = sum_products(
+            [(forward_substitution_rhs(n), 1)]
+            + [(-solved[i], shifted[n - i]) for i in range(1, n)]
+        )
     return solved
 
 

@@ -15,7 +15,7 @@ from math import factorial
 
 from .classical import charlier, dot_moments, moments_of
 from .classical import moment_vector as classical_moment_vector
-from .polynomials import N, Poly, Var, parity_sign
+from .polynomials import N, Poly, Var, parity_sign, sum_products
 
 
 @cache
@@ -49,7 +49,7 @@ def gen_charlier(n: int) -> Poly:
     conditions the classical family does not already grant.
     """
     scale, offset = gen_weights(n)
-    return scale * charlier(n) - offset * shifted_charlier(n)
+    return sum_products([(scale, charlier(n)), (-offset, shifted_charlier(n))])
 
 
 def alternative_form_residual(n: int) -> Poly:
@@ -95,7 +95,8 @@ def moment_vector(n: int) -> tuple[Poly, ...]:
     scale, offset = gen_weights(n)
     shifted = moments_of(shifted_charlier(n), n + 1)
     vector = [
-        scale * c - offset * t for c, t in zip(classical_moment_vector(n), shifted)
+        sum_products([(scale, c), (-offset, t)])
+        for c, t in zip(classical_moment_vector(n), shifted)
     ]
     vector[0] = vector[0] + N * gen_charlier(n).substitute(Var.X, 0)
     return tuple(vector)

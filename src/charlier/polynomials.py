@@ -16,6 +16,11 @@ operation returns canonical form, so structural equality holds exactly when
 the difference of two polynomials is zero, and "the residual is zero" is a
 proof.  Coefficients leave the kernel as ``fractions.Fraction``.
 
+A sum of products is one operation, not a chain of them: ``sum_products``
+accumulates every product over one common denominator, checks the guard bits
+once and puts the result in canonical form once, where ``total + p * q`` in a
+loop would copy the running sum and canonicalize twice per product.
+
 The forward difference ``delta`` and backward difference ``nabla`` act on the
 x variable and lower the x-degree by exactly one.  That strict lowering is
 what makes series of differences finite on polynomials: any term of order
@@ -29,7 +34,7 @@ from fractions import Fraction
 from functools import reduce
 from math import comb, gcd, lcm
 from operator import or_
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 Rational = Fraction
 RationalLike = Union[int, Fraction]
@@ -411,6 +416,42 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly('{self}')"
+
+
+def sum_products(pairs: Iterable[tuple["Poly | RationalLike", "Poly | RationalLike"]]) -> Poly:
+    """sum of p * q over the pairs, each factor a Poly, an int or a Fraction.
+
+    Every product is accumulated into one dict over the common denominator,
+    the lcm of the d_p * d_q; the guard bits are checked once over all keys
+    and the result is canonicalized once, by a single ``Poly._make``.
+    """
+    factors = []
+    for p, q in pairs:
+        if not isinstance(p, Poly):
+            p = Poly.const(p)
+        if not isinstance(q, Poly):
+            q = Poly.const(q)
+        if p._terms and q._terms:
+            # the shorter factor drives the outer loop
+            if len(p._terms) > len(q._terms):
+                p, q = q, p
+            factors.append((p, q, p._den * q._den))
+    if not factors:
+        return Poly._raw({})
+    den = lcm(*(d for _, _, d in factors))
+    out: dict[int, int] = {}
+    get = out.get
+    for p, q, d in factors:
+        scale = den // d
+        items = q._terms.items()
+        for k1, c1 in p._terms.items():
+            c1 *= scale
+            for k2, c2 in items:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+    if reduce(or_, out) & _GUARD:
+        raise ValueError(f"product exponent reaches {EXPONENT_LIMIT}")
+    return Poly._make(out, den)
 
 
 X = Poly.variable(Var.X)

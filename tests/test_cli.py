@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from charlier.cli import main
+
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
 SRC = HERE.parent / "src"
@@ -81,6 +83,20 @@ class TestGoldenOutputs:
         assert len(result.stderr.splitlines()) == 1
         assert "cannot write" in result.stderr and "Traceback" not in result.stderr
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_is_an_io_error(self):
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "charlier", "coeffs", "--max-i", "3"],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=ENV,
+            )
+        assert result.returncode == 2
+        assert len(result.stderr.splitlines()) == 1
+        assert "cannot write stdout" in result.stderr and "Traceback" not in result.stderr
+
     def test_bad_format_is_usage_error(self):
         assert run_cli("coeffs", "--format", "xml").returncode == 2
 
@@ -126,6 +142,34 @@ class TestVerify:
         ]
         assert broken and broken[0]["status"] == "fail"
         assert broken[0]["residual"]  # the nonzero polynomial is rendered
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--suite", "classical", "--corrupt-ai", "2"),
+            ("--suite", "generalized", "--n-max", "3", "--corrupt-ai", "1"),
+            ("--suite", "diffeq", "--n-max", "3", "--i-max", "3", "--corrupt-ai", "9"),
+            ("--suite", "all", "--n-max", "2", "--i-max", "4", "--corrupt-ai", "5"),
+        ],
+    )
+    def test_unread_corrupt_index_is_a_usage_error(self, argv, capsys):
+        # Nothing reads that a_i, so the self test would corrupt nothing.
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "--corrupt-ai" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--suite", "diffeq", "--n-max", "3", "--i-max", "1", "--corrupt-ai", "3"),
+            ("--suite", "all", "--n-max", "2", "--i-max", "4", "--corrupt-ai", "4"),
+        ],
+    )
+    def test_read_corrupt_index_fails_the_run(self, argv, capsys):
+        assert main(["verify", *argv]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["summary"]["failed"] > 0
 
     def test_every_case_appears_once(self):
         result = run_cli("verify", "--suite", "generalized", "--n-max", "3")

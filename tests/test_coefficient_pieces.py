@@ -1,8 +1,8 @@
 """The coefficient family built from per-index pieces.
 
-a_i is the convolution of cached fronts and brackets and charlier(n) reads a
-cached falling-factorial basis; both must equal the per-order reference
-routes exactly.  The uniqueness certificate must stay an independent route:
+a_i is built from cached bracket sums and charlier(n) reads a cached
+falling-factorial basis; both must equal the per-order reference routes
+exactly.  The uniqueness certificate must stay an independent route:
 a wrong bracket changes a_i but not the forward-substitution solution.  A
 hash pins the whole order-20 table.
 """
@@ -69,6 +69,7 @@ def test_uniqueness_does_not_read_the_brackets(monkeypatch):
 
     def clear_caches():
         dq.coeff_ai.cache_clear()
+        dq._bracket_sum.cache_clear()
         right.cache_clear()
 
     clear_caches()

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from charlier.classical import binom_rational, laguerre, shift_identity_residual
-from charlier.polynomials import Poly, Var, X
+from charlier.polynomials import Poly, Var, X, sum_products
 
 ENTRY_POINTS = {
     "const": lambda v: Poly.const(v),
@@ -30,6 +30,7 @@ ENTRY_POINTS = {
     "binom_rational": lambda v: binom_rational(v, 2),
     "laguerre_alpha": lambda v: laguerre(2, v, Var.A),
     "shift_identity_residual": lambda v: shift_identity_residual(2, v),
+    "sum_products": lambda v: sum_products([(X, X), (X, v)]),
 }
 
 

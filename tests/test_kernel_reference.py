@@ -6,15 +6,18 @@ the results must agree on ``terms()``, ``str()``, ``==`` and ``hash``.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charlier.polynomials import Poly, Var
+from charlier.polynomials import EXPONENT_LIMIT, A, Poly, Var, X, sum_products
 from reference_poly import RefPoly
 from strategies import coefficients, term_maps
 
 pairs = term_maps.map(lambda t: (Poly(t), RefPoly(t)))
 scalars = st.one_of(st.integers(min_value=-6, max_value=6), coefficients)
+# a Poly or a scalar factor, with its reference
+factors = st.one_of(pairs, pairs, scalars.map(lambda c: (c, c)))
 points = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 
 SHIFTS = (1, -1, -2, Fraction(1, 2))
@@ -84,3 +87,28 @@ def test_substitution_and_inspection(pair, x, a, n):
         assert p.degree_in(v) == r.degree_in(v)
     assert p.evaluate(x, a, n) == r.evaluate(x, a, n)
     assert type(p.evaluate(x, a, n)) is Fraction
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(factors, factors), max_size=4))
+def test_sum_of_products(products):
+    result = sum_products((p, q) for (p, _), (q, _) in products)
+    expected = RefPoly()
+    for (_, r), (_, s) in products:
+        expected = expected + r * s
+    assert_same(result, expected)
+    assert result == sum((p * q for (p, _), (q, _) in products), Poly())
+    assert (result == 0) == (expected == 0)
+
+
+def test_sum_of_products_cancels_to_canonical_zero():
+    zero = sum_products([(X / 3, A / 2), (X, A * Fraction(-1, 6)), (2, Fraction(-1, 2)), (1, 1)])
+    assert (zero._terms, zero._den) == ({}, 1)
+    assert zero == Poly() and str(zero) == "0" and hash(zero) == hash(0)
+    assert (sum_products([])._terms, sum_products([])._den) == ({}, 1)
+
+
+def test_sum_of_products_rejects_exponent_overflow():
+    top = Poly({(EXPONENT_LIMIT - 1, 0, 0): 1})
+    with pytest.raises(ValueError):
+        sum_products([(A, A), (top, X)])
