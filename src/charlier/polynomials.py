@@ -266,18 +266,7 @@ class Poly:
             )
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self._terms or not other._terms:
-            return Poly._raw({})
-        out: dict[int, int] = {}
-        get = out.get
-        items = other._terms.items()
-        for k1, c1 in self._terms.items():
-            for k2, c2 in items:
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-        if reduce(or_, out) & _GUARD:
-            raise ValueError(f"product exponent reaches {EXPONENT_LIMIT}")
-        return Poly._make(out, self._den * other._den)
+        return sum_products(((self, other),))
 
     __rmul__ = __mul__
 

@@ -44,6 +44,14 @@ class SuiteSpec:
         if self.i_max < 1:
             raise ValueError("i_max must be >= 1")
 
+    def reads_ai(self, i: int) -> bool:
+        """Whether a run of this spec reads the order-i coefficient a_i.
+
+        Only the diffeq suite reads a_i (see ``_diffeq_cases``): the equation
+        at degree n applies orders 1..n, the coefficient cases orders 1..i_max.
+        """
+        return self.suite in ("diffeq", "all") and 1 <= i <= max(self.n_max, self.i_max)
+
 
 @dataclass
 class CaseRecord:
@@ -202,6 +210,7 @@ def _stratified_residual(lhs: Poly) -> Poly:
 
 
 def _diffeq_cases(spec: SuiteSpec, coeffs: CoeffProvider | None) -> Iterable[Case]:
+    # The orders of a_i read here are the ones SuiteSpec.reads_ai names.
     n_max, i_max = spec.n_max, spec.i_max
     # The only holder of the coefficient provider; shared by this run only.
     actions = dq.OperatorActions(coeffs)

@@ -85,17 +85,21 @@ class TestGoldenOutputs:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_stdout_is_an_io_error(self):
-        with open("/dev/full", "w") as full:
-            result = subprocess.run(
-                [sys.executable, "-m", "charlier", "coeffs", "--max-i", "3"],
-                stdout=full,
-                stderr=subprocess.PIPE,
-                text=True,
-                env=ENV,
-            )
-        assert result.returncode == 2
-        assert len(result.stderr.splitlines()) == 1
-        assert "cannot write stdout" in result.stderr and "Traceback" not in result.stderr
+        # A block-buffered stdout (the default off a tty) is flushed again at
+        # shutdown, so both buffering modes are covered.
+        buffered = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
+        for env in (buffered, {**buffered, "PYTHONUNBUFFERED": "1"}):
+            with open("/dev/full", "w") as full:
+                result = subprocess.run(
+                    [sys.executable, "-m", "charlier", "coeffs", "--max-i", "3"],
+                    stdout=full,
+                    stderr=subprocess.PIPE,
+                    text=True,
+                    env=env,
+                )
+            assert result.returncode == 2, result.stderr
+            assert len(result.stderr.splitlines()) == 1, result.stderr
+            assert "cannot write stdout" in result.stderr and "Traceback" not in result.stderr
 
     def test_bad_format_is_usage_error(self):
         assert run_cli("coeffs", "--format", "xml").returncode == 2

@@ -66,6 +66,22 @@ def test_shared_work_stays_within_one_run():
     assert run_suite(spec).all_passed()
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [SuiteSpec("diffeq", 3, 1), SuiteSpec("diffeq", 1, 4), SuiteSpec("classical", 3, 3)],
+    ids=str,
+)
+def test_reads_ai_names_the_orders_a_run_reads(spec):
+    read: set[int] = set()
+
+    def recording(i: int):
+        read.add(i)
+        return coeff_ai(i)
+
+    assert run_suite(spec, recording).all_passed()
+    assert read == {i for i in range(1, 30) if spec.reads_ai(i)}
+
+
 def test_norm_certificate_rejects_a_negative_coefficient(monkeypatch):
     assert all(verify._norm_positive(n) for n in range(13))
     # a negative term off the N = 0 slice, which sampling could miss
