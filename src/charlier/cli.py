@@ -14,7 +14,6 @@ is a --corrupt-ai order that the selected verify run never reads.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -52,6 +51,8 @@ def _coeffs_json(table: CoeffTable) -> str:
 
 
 def _coeffs_csv(table: CoeffTable) -> str:
+    import csv  # only --format csv needs it; kept off every other call's start-up
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["kind", "index", "poly", "deg_x", "deg_a"])
@@ -70,8 +71,9 @@ def _coeffs_latex(table: CoeffTable) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
+    # An empty --out names no file: open('') fails like any other bad path.
     try:
-        if out:
+        if out is not None:
             with open(out, "w", encoding="utf-8") as handle:
                 handle.write(text)
         else:
@@ -79,9 +81,9 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.flush()
     except OSError as exc:
         # Exit 1 means an identity failed; an I/O error is exit 2.
-        target = out or "stdout"
+        target = "stdout" if out is None else repr(out)
         print(f"charlier: error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
-        if not out:
+        if out is None:
             # A buffered stdout keeps what the failed flush could not write, and
             # the interpreter flushes it again at shutdown: on the same device
             # that prints a second error and exits 120. Send the rest to null.

@@ -22,11 +22,10 @@ through forward substitution, and the mixed forward/backward variants).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .classical import binom_poly, charlier, laguerre
 from .pointmass import gen_charlier, gen_weights, shifted_charlier
@@ -38,8 +37,7 @@ CoeffProvider = Callable[[int], Poly]
 # -- difference operators ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiffTerm:
+class DiffTerm(NamedTuple):
     """coeff * Delta^delta_order Nabla^nabla_order."""
 
     coeff: Poly
@@ -193,8 +191,7 @@ def coeff_ai(i: int) -> Poly:
     return sum_products((_exp_coeff(m), _bracket_sum(i - m)) for m in range(i))
 
 
-@dataclass(frozen=True)
-class CoeffTable:
+class CoeffTable(NamedTuple):
     """Both coefficient families: a0 keyed by degree n, ai keyed by order i."""
 
     a0: dict[int, Poly]

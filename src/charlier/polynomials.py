@@ -51,12 +51,6 @@ class Var(Enum):
     N = 2
 
 
-_VAR_NAMES = {Var.X: "x", Var.A: "a", Var.N: "N"}
-
-# Factors inside a monomial print as a, N, x; term *ordering* is graded
-# lexicographic on (e_x, e_a, e_N), descending.
-_PRINT_ORDER = (Var.A, Var.N, Var.X)
-
 _BITS = 20
 _MASK = (1 << _BITS) - 1
 # Exponents are below this bound, which leaves each field's top bit as guard.
@@ -66,6 +60,11 @@ _SHIFTS = (2 * _BITS, _BITS, 0)
 _SX = _SHIFTS[0]
 _LOW = (1 << _SX) - 1  # the a and N fields of a key
 _GUARD = sum(EXPONENT_LIMIT << s for s in _SHIFTS)
+
+# Factors inside a monomial print as a, N, x, each read from its key field as
+# (field shift, name); term *ordering* is graded lexicographic on
+# (e_x, e_a, e_N), descending.
+_PRINT_ORDER = ((_SHIFTS[1], "a"), (_SHIFTS[2], "N"), (_SHIFTS[0], "x"))
 
 
 def _rational(value: object) -> Fraction:
@@ -375,12 +374,12 @@ class Poly:
         den = self._den
         parts: list[str] = []
         for key, num in self._ordered():
-            exp = Poly._unpack(key)
-            mono = sep.join(
-                _VAR_NAMES[v] if exp[v.value] == 1 else power.format(_VAR_NAMES[v], exp[v.value])
-                for v in _PRINT_ORDER
-                if exp[v.value]
-            )
+            factors = []
+            for shift, name in _PRINT_ORDER:
+                e = (key >> shift) & _MASK
+                if e:
+                    factors.append(name if e == 1 else power.format(name, e))
+            mono = sep.join(factors)
             g = gcd(num, den)
             top, bottom = abs(num) // g, den // g
             mag = str(top) if bottom == 1 else fraction.format(top, bottom)

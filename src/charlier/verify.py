@@ -10,9 +10,8 @@ to the timing fields.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 from . import classical as cl
 from . import diffeq as dq
@@ -28,21 +27,19 @@ Outcome = Union[Poly, bool]
 Case = tuple[str, tuple[Index, ...], Callable[[], Outcome]]
 
 
-@dataclass(frozen=True)
-class SuiteSpec:
+class SuiteSpec(NamedTuple("SuiteSpec", [("suite", str), ("n_max", int), ("i_max", int)])):
     """Which suite to run and how far the index ranges go."""
 
-    suite: str = "all"
-    n_max: int = 12
-    i_max: int = 12
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.suite != "all" and self.suite not in SUITES:
-            raise ValueError(f"unknown suite {self.suite!r}")
-        if self.n_max < 0:
+    def __new__(cls, suite: str = "all", n_max: int = 12, i_max: int = 12) -> SuiteSpec:
+        if suite != "all" and suite not in SUITES:
+            raise ValueError(f"unknown suite {suite!r}")
+        if n_max < 0:
             raise ValueError("n_max must be >= 0")
-        if self.i_max < 1:
+        if i_max < 1:
             raise ValueError("i_max must be >= 1")
+        return super().__new__(cls, suite, n_max, i_max)
 
     def reads_ai(self, i: int) -> bool:
         """Whether a run of this spec reads the order-i coefficient a_i.
@@ -53,8 +50,7 @@ class SuiteSpec:
         return self.suite in ("diffeq", "all") and 1 <= i <= max(self.n_max, self.i_max)
 
 
-@dataclass
-class CaseRecord:
+class CaseRecord(NamedTuple):
     identity: str
     indices: tuple[Index, ...]
     status: str
@@ -73,12 +69,12 @@ class CaseRecord:
         return record
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    n_max: int
-    i_max: int
-    cases: list[CaseRecord]
+    def __init__(self, suite: str, n_max: int, i_max: int, cases: list[CaseRecord]) -> None:
+        self.suite = suite
+        self.n_max = n_max
+        self.i_max = i_max
+        self.cases = cases
 
     @property
     def passed(self) -> int:

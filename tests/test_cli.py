@@ -83,6 +83,24 @@ class TestGoldenOutputs:
         assert len(result.stderr.splitlines()) == 1
         assert "cannot write" in result.stderr and "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("coeffs", "--max-i", "1"),
+            ("poly", "charlier", "2"),
+            ("verify", "--suite", "diffeq", "--n-max", "1", "--i-max", "1"),
+            ("moments", "--max-k", "1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_empty_out_is_an_io_error(self, argv):
+        # An empty path names no file; it must not fall back to stdout.
+        result = run_cli(*argv, "--out", "")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert line.startswith("charlier: error: cannot write '': ")
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_stdout_is_an_io_error(self):
         # A block-buffered stdout (the default off a tty) is flushed again at
