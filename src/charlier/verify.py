@@ -9,6 +9,10 @@ to the timing fields.
 
 from __future__ import annotations
 
+import gc
+import marshal
+import os
+import sys
 import time
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Union
@@ -21,6 +25,8 @@ from .polynomials import Poly, Var
 from .version import __version__
 
 SUITES = ("classical", "generalized", "diffeq")
+# Run in a forked child beside the diffeq suite when a run selects them all.
+FORKED_SUITES = ("classical", "generalized")
 
 Index = Union[int, str]
 Outcome = Union[Poly, bool]
@@ -131,7 +137,6 @@ def _run_cases(cases: Iterable[Case]) -> list[CaseRecord]:
         records.append(
             CaseRecord(identity, indices, "pass" if ok else "fail", elapsed, residual)
         )
-    records.sort(key=_case_key)
     return records
 
 
@@ -243,10 +248,7 @@ def _diffeq_cases(spec: SuiteSpec, coeffs: CoeffProvider | None) -> Iterable[Cas
                 yield "mixed-leading", (i, k, n), lambda i=i, k=k, n=n: actions.verify_mixed_leading(i, k, n)
 
 
-def run_suite(spec: SuiteSpec, coeffs: CoeffProvider | None = None) -> VerificationReport:
-    """Run the selected suite(s); coeffs overrides the order-i coefficient
-    table in the diffeq suite (used for failure-path self tests)."""
-    names = SUITES if spec.suite == "all" else (spec.suite,)
+def _suite_cases(names: Iterable[str], spec: SuiteSpec, coeffs: CoeffProvider | None) -> list[Case]:
     cases: list[Case] = []
     for name in names:
         if name == "classical":
@@ -255,4 +257,110 @@ def run_suite(spec: SuiteSpec, coeffs: CoeffProvider | None = None) -> Verificat
             cases.extend(_generalized_cases(spec))
         else:
             cases.extend(_diffeq_cases(spec, coeffs))
-    return VerificationReport(spec.suite, spec.n_max, spec.i_max, _run_cases(cases))
+    return cases
+
+
+# -- the forked half ------------------------------------------------------------
+
+
+def _can_fork() -> bool:
+    """Whether a forked child can run beside this process: fork exists, a
+    second CPU is usable, and no other thread could hold a lock the child
+    inherits."""
+    if not hasattr(os, "fork"):
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    threading = sys.modules.get("threading")
+    return cpus > 1 and (threading is None or threading.active_count() == 1)
+
+
+def _ship(fd: int, records: list[CaseRecord]) -> None:
+    with open(fd, "wb") as pipe:
+        pipe.write(marshal.dumps([tuple(r) for r in records]))
+
+
+def _received(data: bytes) -> list[CaseRecord] | None:
+    try:
+        return [CaseRecord(*fields) for fields in marshal.loads(data)]
+    except (EOFError, ValueError, TypeError):
+        return None
+
+
+def _run_beside(spec: SuiteSpec, coeffs: CoeffProvider | None) -> list[CaseRecord] | None:
+    """Run the diffeq cases here while a forked child runs FORKED_SUITES.
+
+    The coefficient provider, the run's OperatorActions and the coeff_ai
+    caches stay in this process.  The child sends its records back through
+    a pipe as marshalled tuples.  If it fails or sends what does not
+    unmarshal, this process runs that half itself, so a worker fault never
+    drops or falsifies a case.  Returns None if no child could be started.
+    """
+    try:
+        # Both halves read these: build them once, before the fork.
+        for n in range(spec.n_max + 1):
+            pm.gen_charlier(n)
+    except Exception:
+        pass  # the cases that read a broken piece record its error
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    # Frozen objects are left out of the child's collections, which would
+    # otherwise write to, and so copy, every inherited page holding one.
+    gc.freeze()
+    try:
+        pid = os.fork()
+    except OSError:
+        pid = -1
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            _ship(write_fd, _run_cases(_suite_cases(FORKED_SUITES, spec, coeffs)))
+            code = 0
+        finally:
+            # No stdio flush, atexit or test-runner hook runs in the child.
+            os._exit(code)
+    gc.unfreeze()
+    os.close(write_fd)
+    if pid < 0:
+        os.close(read_fd)
+        return None
+    with open(read_fd, "rb") as pipe:
+        try:
+            records = _run_cases(_suite_cases(("diffeq",), spec, coeffs))
+            # To EOF before waiting: a child blocked on a full pipe never exits.
+            data = pipe.read()
+        except BaseException:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            _, status = os.waitpid(pid, 0)
+    shipped = _received(data) if status == 0 else None
+    if shipped is None:
+        shipped = _run_cases(_suite_cases(FORKED_SUITES, spec, coeffs))
+    return records + shipped
+
+
+def run_suite(spec: SuiteSpec, coeffs: CoeffProvider | None = None) -> VerificationReport:
+    """Run the selected suite(s); coeffs overrides the order-i coefficient
+    table in the diffeq suite (used for failure-path self tests).
+
+    A run of every suite on a host with a second usable CPU runs
+    FORKED_SUITES in a forked child beside the diffeq suite; the report is
+    the same either way.
+    """
+    names = SUITES if spec.suite == "all" else (spec.suite,)
+    records = _run_beside(spec, coeffs) if len(names) > 1 and _can_fork() else None
+    if records is None:
+        records = _run_cases(_suite_cases(names, spec, coeffs))
+    records.sort(key=_case_key)
+    return VerificationReport(spec.suite, spec.n_max, spec.i_max, records)

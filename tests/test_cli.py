@@ -1,5 +1,6 @@
 """Command line contract: formats, golden outputs, exit codes, determinism."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -104,19 +105,22 @@ class TestGoldenOutputs:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_stdout_is_an_io_error(self):
         # A block-buffered stdout (the default off a tty) is flushed again at
-        # shutdown, so both buffering modes are covered.
+        # shutdown, so both buffering modes are covered.  A run of every suite
+        # may fork a child, which must print nothing of its own.
         buffered = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
-        for env in (buffered, {**buffered, "PYTHONUNBUFFERED": "1"}):
+        commands = (("coeffs", "--max-i", "3"),
+                    ("verify", "--suite", "all", "--n-max", "2", "--i-max", "2"))
+        for args, env in itertools.product(commands, (buffered, {**buffered, "PYTHONUNBUFFERED": "1"})):
             with open("/dev/full", "w") as full:
                 result = subprocess.run(
-                    [sys.executable, "-m", "charlier", "coeffs", "--max-i", "3"],
+                    [sys.executable, "-m", "charlier", *args],
                     stdout=full,
                     stderr=subprocess.PIPE,
                     text=True,
                     env=env,
                 )
-            assert result.returncode == 2, result.stderr
-            assert len(result.stderr.splitlines()) == 1, result.stderr
+            assert result.returncode == 2, (args, result.stderr)
+            assert len(result.stderr.splitlines()) == 1, (args, result.stderr)
             assert "cannot write stdout" in result.stderr and "Traceback" not in result.stderr
 
     def test_bad_format_is_usage_error(self):

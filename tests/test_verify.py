@@ -68,7 +68,8 @@ def test_shared_work_stays_within_one_run():
 
 @pytest.mark.parametrize(
     "spec",
-    [SuiteSpec("diffeq", 3, 1), SuiteSpec("diffeq", 1, 4), SuiteSpec("classical", 3, 3)],
+    [SuiteSpec("diffeq", 3, 1), SuiteSpec("diffeq", 1, 4), SuiteSpec("classical", 3, 3),
+     SuiteSpec("all", 3, 3)],
     ids=str,
 )
 def test_reads_ai_names_the_orders_a_run_reads(spec):
