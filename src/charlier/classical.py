@@ -42,12 +42,8 @@ def binom_poly(k: int) -> Poly:
 
 
 def binom_rational(p: RationalLike, k: int) -> Fraction:
-    """binom(p, k) for arbitrary rational p, via the falling factorial."""
-    p = _rational(p)
-    out = Fraction(1, factorial(k))
-    for j in range(k):
-        out *= p - j
-    return out
+    """binom(p, k) for arbitrary rational p: binom_poly(k) at x = p."""
+    return binom_poly(k).substitute(Var.X, p).constant_value()
 
 
 @cache
@@ -90,7 +86,8 @@ def laguerre(n: int, alpha: Poly | RationalLike, t: Var) -> Poly:
     """Degree-n Laguerre polynomial in the variable t with parameter alpha.
 
     alpha may be any polynomial not involving t, so connection formulas with
-    a polynomial parameter stay exact.
+    a polynomial parameter stay exact.  The t^k term is (-1)^k t^k / (k! (n-k)!)
+    times (alpha+k+1)...(alpha+n), one rising product built from k = n down.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -99,15 +96,11 @@ def laguerre(n: int, alpha: Poly | RationalLike, t: Var) -> Poly:
     if alpha.degree_in(t) > 0:
         raise ValueError("alpha must not involve t")
     tv = Poly.variable(t)
-    pairs = []
-    for k in range(n + 1):
-        falling = 1
-        for j in range(k):
-            falling *= -n + j
-        rising = Poly.const(1)
-        for j in range(n - k):
-            rising = rising * (alpha + (k + 1 + j))
-        pairs.append((rising, tv**k * Fraction(falling, factorial(k) * factorial(n))))
+    rising = Poly.const(1)
+    pairs = [(rising, tv**n * Fraction(parity_sign(n), factorial(n)))]
+    for k in range(n - 1, -1, -1):
+        rising = rising * (alpha + (k + 1))
+        pairs.append((rising, tv**k * Fraction(parity_sign(k), factorial(k) * factorial(n - k))))
     return sum_products(pairs)
 
 
@@ -161,17 +154,11 @@ def verify_convolution(i: int, j: int) -> bool:
 
 def verify_inverse_matrix(n: int) -> bool:
     """The unit triangular matrices with entries charlier(i-j) and
-    charlier_mirror(i-j) multiply to the identity over the polynomial ring."""
+    charlier_mirror(i-j) multiply to the identity: entry (i, j <= i) is
+    convolution_residual(i, j) + delta_ij, and above the diagonal it is 0."""
     if n < 1:
         raise ValueError("matrix size must be >= 1")
-    lower = [[charlier(i - j) if j <= i else Poly() for j in range(n)] for i in range(n)]
-    mirror = [[charlier_mirror(i - j) if j <= i else Poly() for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            entry = sum_products((lower[i][k], mirror[k][j]) for k in range(n))
-            if entry != (1 if i == j else 0):
-                return False
-    return True
+    return all(not convolution_residual(i, j) for i in range(n) for j in range(i + 1))
 
 
 def verify_value_formulas(n: int) -> bool:

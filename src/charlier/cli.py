@@ -76,6 +76,8 @@ def _emit(text: str, out: str | None) -> None:
         if out is not None:
             with open(out, "w", encoding="utf-8") as handle:
                 handle.write(text)
+        elif sys.stdout is None:
+            raise OSError("file descriptor 1 is closed")
         else:
             sys.stdout.write(text)
             sys.stdout.flush()
@@ -83,7 +85,7 @@ def _emit(text: str, out: str | None) -> None:
         # Exit 1 means an identity failed; an I/O error is exit 2.
         target = "stdout" if out is None else repr(out)
         print(f"charlier: error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
-        if out is None:
+        if out is None and sys.stdout is not None:
             # A buffered stdout keeps what the failed flush could not write, and
             # the interpreter flushes it again at shutdown: on the same device
             # that prints a second error and exits 120. Send the rest to null.

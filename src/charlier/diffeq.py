@@ -148,6 +148,8 @@ def coeff_a0(n: int) -> Poly:
 @cache
 def _bracket(k: int) -> Poly:
     """(-1)^k [C_k(-1) C_k(x-2) - C_k(-2) C_k(x-1)] with C_k = charlier(k)."""
+    # Not read from pointmass.shifted_charlier(k): every a_i with i >= k reads
+    # this bracket, so a wrong shared piece would fail far from its own index.
     ck = charlier(k)
     s = parity_sign(k)
     return sum_products([
@@ -416,7 +418,7 @@ def shifted_second_order_residual(n: int) -> Poly:
     if n < 1:
         raise ValueError("index must be >= 1")
     cn = charlier(n)
-    lhs = A * cn + (n - A - X) * cn.shift_x(-1) + X * cn.shift_x(-2)
+    lhs = A * cn + (n - A - X) * shifted_charlier(n) + X * cn.shift_x(-2)
     return lhs + charlier(n - 1).shift_x(-2)
 
 

@@ -60,7 +60,7 @@ def alternative_form_residual(n: int) -> Poly:
     cn = charlier(n)
     s = parity_sign(n)
     scale = 1 - N * charlier(n - 1).substitute(Var.X, -1) * s
-    alt = scale * cn + N * cn.substitute(Var.X, 0) * s * cn.shift_x(-1).delta()
+    alt = scale * cn + N * cn.substitute(Var.X, 0) * s * shifted_charlier(n).delta()
     return alt - gen_charlier(n)
 
 

@@ -192,13 +192,9 @@ class Poly:
         a: RationalLike = 0,
         n: RationalLike = 0,
     ) -> Fraction:
-        """Exact value at a rational point (x, a, N)."""
-        vx, va, vn = _rational(x), _rational(a), _rational(n)
-        total = Fraction(0)
-        for key, num in self._terms.items():
-            ex, ea, en = Poly._unpack(key)
-            total += num * vx**ex * va**ea * vn**en
-        return total / self._den
+        """Exact value at a rational point (x, a, N): substitute x, a, N in turn."""
+        p = self.substitute(Var.X, x).substitute(Var.A, a).substitute(Var.N, n)
+        return p.constant_value()
 
     # -- ring operations ----------------------------------------------------
 

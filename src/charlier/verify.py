@@ -41,6 +41,8 @@ class SuiteSpec(NamedTuple("SuiteSpec", [("suite", str), ("n_max", int), ("i_max
     def __new__(cls, suite: str = "all", n_max: int = 12, i_max: int = 12) -> SuiteSpec:
         if suite != "all" and suite not in SUITES:
             raise ValueError(f"unknown suite {suite!r}")
+        if not isinstance(n_max, int) or not isinstance(i_max, int):
+            raise TypeError(f"n_max and i_max must be ints, got {n_max!r} and {i_max!r}")
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
         if i_max < 1:

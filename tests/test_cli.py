@@ -123,6 +123,26 @@ class TestGoldenOutputs:
             assert len(result.stderr.splitlines()) == 1, (args, result.stderr)
             assert "cannot write stdout" in result.stderr and "Traceback" not in result.stderr
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs preexec_fn")
+    @pytest.mark.parametrize(
+        "argv",
+        [("poly", "charlier", "1"), ("verify", "--suite", "all", "--n-max", "2", "--i-max", "2")],
+        ids=lambda argv: argv[0],
+    )
+    def test_closed_stdout_is_an_io_error(self, argv):
+        # With file descriptor 1 closed the interpreter sets sys.stdout to None;
+        # a verify run must not report that as a failed identity (exit 1).
+        result = subprocess.run(
+            [sys.executable, "-m", "charlier", *argv],
+            stderr=subprocess.PIPE,
+            text=True,
+            env=ENV,
+            preexec_fn=lambda: os.close(1),
+        )
+        assert result.returncode == 2, result.stderr
+        [line] = result.stderr.splitlines()
+        assert line.startswith("charlier: error: cannot write stdout: ")
+
     def test_bad_format_is_usage_error(self):
         assert run_cli("coeffs", "--format", "xml").returncode == 2
 

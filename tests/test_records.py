@@ -35,6 +35,12 @@ class TestSuiteSpec:
         with pytest.raises(ValueError, match=message):
             SuiteSpec(*args)
 
+    @pytest.mark.parametrize("args", [("all", 2.0, 3), ("all", 2, 3.0), ("diffeq", "2", 3)])
+    def test_non_integer_range_is_rejected(self, args):
+        # Rejected here, not in range() after a forked child has started.
+        with pytest.raises(TypeError, match="n_max and i_max must be ints"):
+            SuiteSpec(*args)
+
     def test_defaults_and_keywords(self):
         assert SuiteSpec() == SuiteSpec("all", 12, 12)
         assert SuiteSpec(n_max=0) == SuiteSpec("all", 0, 12)
