@@ -70,6 +70,15 @@ def _coeffs_latex(table: CoeffTable) -> str:
     return "\\begin{align*}\n" + body + "\n\\end{align*}\n"
 
 
+def _error(message: str) -> None:
+    """Write one error line to stderr; a closed stderr loses it, not the exit code."""
+    try:
+        sys.stderr.write(f"charlier: error: {message}\n")
+        sys.stderr.flush()
+    except (AttributeError, OSError):
+        pass
+
+
 def _emit(text: str, out: str | None) -> None:
     # An empty --out names no file: open('') fails like any other bad path.
     try:
@@ -84,7 +93,7 @@ def _emit(text: str, out: str | None) -> None:
     except OSError as exc:
         # Exit 1 means an identity failed; an I/O error is exit 2.
         target = "stdout" if out is None else repr(out)
-        print(f"charlier: error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        _error(f"cannot write {target}: {exc.strerror or exc}")
         if out is None and sys.stdout is not None:
             # A buffered stdout keeps what the failed flush could not write, and
             # the interpreter flushes it again at shutdown: on the same device
@@ -119,10 +128,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         bad = args.corrupt_ai
         # A self test that corrupts nothing would pass and prove nothing.
         if not spec.reads_ai(bad):
-            print(
-                f"charlier: error: --corrupt-ai {bad} is not read by "
-                f"--suite {args.suite} --n-max {args.n_max} --i-max {args.i_max}",
-                file=sys.stderr,
+            _error(
+                f"--corrupt-ai {bad} is not read by "
+                f"--suite {args.suite} --n-max {args.n_max} --i-max {args.i_max}"
             )
             return 2
 

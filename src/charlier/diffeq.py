@@ -28,7 +28,7 @@ from math import factorial
 from typing import Callable, Iterable, NamedTuple
 
 from .classical import binom_poly, charlier, laguerre
-from .pointmass import gen_charlier, gen_weights, shifted_charlier
+from .pointmass import gen_charlier, shifted_charlier, through_pieces
 from .polynomials import A, N, Poly, Var, X, parity_sign, sum_products
 
 CoeffProvider = Callable[[int], Poly]
@@ -218,7 +218,7 @@ def mass_operator(n: int, order: int, coeffs: CoeffProvider = coeff_ai) -> DiffO
 
 # -- operator actions shared within one run ---------------------------------
 
-# The arguments whose chains and degree-n mass actions are kept:
+# The arguments whose chains and degree-n operator actions are kept:
 # gen_charlier(n), charlier(n) and charlier(n) shifted by -1.
 ARGUMENTS = ("generalized", "charlier", "shifted")
 
@@ -233,19 +233,19 @@ class OperatorActions:
     """Difference chains, operator actions and coefficient checks shared by
     the identities of one verify run.
 
-    Each chain, each action of a degree-n mass operator and each left-hand
-    side of the equation is built once, on first use, and keyed by integer
-    indices, never by a polynomial.  This is the one place a coefficient
-    provider enters: ``ai`` is ``coeffs``, or ``coeff_ai`` when none is given,
-    and every mass operator and coefficient check here reads it, so an
-    instance serves the one run it was made for.
+    Each chain, each action of a degree-n mass or series operator and each
+    left-hand side of the equation is built once, on first use, and keyed by
+    names and indices, never by a polynomial.  This is the one place a
+    coefficient provider enters: ``ai`` is ``coeffs``, or ``coeff_ai`` when
+    none is given, and every mass operator and coefficient check here reads
+    it, so an instance serves the one run it was made for.
     """
 
     def __init__(self, coeffs: CoeffProvider | None = None) -> None:
         self.ai: CoeffProvider = coeff_ai if coeffs is None else coeffs
         self._chains: dict[tuple[str, int], DifferenceChain] = {}
         self._mixed: dict[int, list[DifferenceChain]] = {}
-        self._mass: dict[tuple[str, int], Poly] = {}
+        self._actions: dict[tuple[str, str, int], Poly] = {}
         self._equations: dict[int, Poly] = {}
 
     def chain(self, argument: str, n: int) -> DifferenceChain:
@@ -264,27 +264,25 @@ class OperatorActions:
             chain = self._chains[key] = DifferenceChain(y)
         return chain
 
-    def mass(self, argument: str, n: int) -> Poly:
-        """sum_{i=0}^{n} ai Delta^i with the degree-n a0, applied to the
-        argument; the sum stops at order n, exact since deg_x is n.
-
-        The operator is applied to the two classical arguments only.  Since
-        gen_charlier(n) = scale C_n(x) - offset C_n(x-1) with weights free
-        of x, its action is the same combination of theirs.
-        """
-        key = (argument, n)
-        action = self._mass.get(key)
+    def _action(self, operator: str, argument: str, n: int) -> Poly:
+        """The "mass" operator sum_{i=0}^{n} ai Delta^i (degree-n a0) or the
+        "series" classical_series_operator(n) applied to a classical argument,
+        exact as deg_x is n; gen_charlier(n) is read through_pieces from both."""
+        key = (operator, argument, n)
+        action = self._actions.get(key)
         if action is None:
             if argument == "generalized":
-                scale, offset = gen_weights(n)
-                action = sum_products(
-                    [(scale, self.mass("charlier", n)), (-offset, self.mass("shifted", n))]
-                )
+                at = self._action
+                action = through_pieces(n, at(operator, "charlier", n), at(operator, "shifted", n))
+            elif operator == "mass":
+                action = mass_operator(n, n, self.ai).apply(self.chain(argument, n))
             else:
-                op = mass_operator(n, n, self.ai)
-                action = op.apply(self.chain(argument, n))
-            self._mass[key] = action
+                action = classical_series_operator(n).apply(self.chain(argument, n))
+            self._actions[key] = action
         return action
+
+    def mass(self, argument: str, n: int) -> Poly:
+        return self._action("mass", argument, n)
 
     def equation(self, n: int) -> Poly:
         """Left-hand side of the full equation at y = gen_charlier(n).
@@ -306,27 +304,18 @@ class OperatorActions:
 
     def mass_action_cross_residual(self, n: int) -> Poly:
         cn = charlier(n)
-        return cn.substitute(Var.X, -1) * self.mass("charlier", n) - cn.substitute(
-            Var.X, 0
-        ) * self.mass("shifted", n)
+        at_x, at_shifted = self.mass("charlier", n), self.mass("shifted", n)
+        return cn.substitute(Var.X, -1) * at_x - cn.substitute(Var.X, 0) * at_shifted
 
     def classical_infinite_order_residual(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("index must be >= 0")
-        return classical_series_operator(n).apply(self.chain("charlier", n))
+        return self._action("series", "charlier", n)
 
     def combined_equation_residual(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("index must be >= 0")
-        # Linear with x-free weights, like the mass part: the series operator
-        # reads the two pieces' chains, which the mass actions have built.
-        series = classical_series_operator(n)
-        scale, offset = gen_weights(n)
-        return sum_products([
-            (N, self.mass("generalized", n)),
-            (scale, series.apply(self.chain("charlier", n))),
-            (-offset, series.apply(self.chain("shifted", n))),
-        ])
+        return N * self.mass("generalized", n) + self._action("series", "generalized", n)
 
     def mixed_difference(self, n: int, k: int, m: int) -> Poly:
         """Delta^k Nabla^m charlier(n), from one forward chain per (n, m)
@@ -568,47 +557,15 @@ def verify_combined_equation(n: int) -> bool:
 # -- shared roots of consecutive leading coefficients -------------------------
 
 
-def _resultant(pc: list[Fraction], qc: list[Fraction]) -> Fraction:
-    """Resultant of two univariate polynomials from descending coefficients."""
-    m, n = len(pc) - 1, len(qc) - 1
-    size = m + n
-    if size == 0:
-        return Fraction(1)
-    rows: list[list[Fraction]] = []
-    for r in range(n):
-        rows.append([Fraction(0)] * r + pc + [Fraction(0)] * (n - 1 - r))
-    for r in range(m):
-        rows.append([Fraction(0)] * r + qc + [Fraction(0)] * (m - 1 - r))
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if rows[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, size):
-            f = rows[r][col] * inv
-            if f:
-                rows[r] = [rv - f * cv for rv, cv in zip(rows[r], rows[col])]
-    return det
-
-
-def _coeff_list_in_a(p: Poly) -> list[Fraction]:
-    deg = p.degree_in(Var.A)
-    if deg < 0:
-        raise ValueError("zero polynomial has no coefficient list")
-    return [p.coeff_of(Var.A, d).constant_value() for d in range(deg, -1, -1)]
-
-
-def _strip_a_factor(coeffs: list[Fraction]) -> list[Fraction]:
-    # Drop the common a^v monomial factor (trailing zeros in descending order).
-    out = list(coeffs)
-    while len(out) > 1 and not out[-1]:
-        out.pop()
-    return out
+def _gcd_in_a(p: Poly, q: Poly) -> Poly:
+    """A gcd in Q[a] by Euclid's algorithm, each divisor made monic first."""
+    while q:
+        dq = q.degree_in(Var.A)
+        q = q / q.coeff_of(Var.A, dq).constant_value()
+        while (dp := p.degree_in(Var.A)) >= dq:
+            p = p - q * Poly({(0, dp - dq, 0): p.coeff_of(Var.A, dp).constant_value()})
+        p, q = q, p
+    return p
 
 
 def verify_leading_coprime(i: int) -> bool:
@@ -616,10 +573,8 @@ def verify_leading_coprime(i: int) -> bool:
 
     For orders >= 2 every leading coefficient carries a plain factor a, so
     the two polynomials always meet at a = 0; that point lies outside the
-    parameter domain of the weight.  After stripping the common a-power the
-    resultant must be a nonzero rational, which certifies that no further
-    root is shared anywhere.
+    parameter domain of the weight.  Their gcd must be a monomial c a^v,
+    which certifies that no further root is shared anywhere.
     """
-    h_i = _strip_a_factor(_coeff_list_in_a(leading_x_closed_form(i)))
-    h_next = _strip_a_factor(_coeff_list_in_a(leading_x_closed_form(i + 1)))
-    return bool(_resultant(h_i, h_next))
+    h, h_next = leading_x_closed_form(i), leading_x_closed_form(i + 1)
+    return bool(h and h_next) and len(_gcd_in_a(h, h_next).terms()) == 1

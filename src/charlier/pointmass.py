@@ -40,6 +40,14 @@ def shifted_charlier(n: int) -> Poly:
     return charlier(n).shift_x(-1)
 
 
+def through_pieces(n: int, at_charlier: Poly, at_shifted: Poly) -> Poly:
+    """scale * at_charlier - offset * at_shifted, (scale, offset) = gen_weights(n):
+    the value at gen_charlier(n) of an x-linear map, given its values at C_n(x)
+    and at C_n(x-1), since the weights are free of x."""
+    scale, offset = gen_weights(n)
+    return sum_products([(scale, at_charlier), (-offset, at_shifted)])
+
+
 @cache
 def gen_charlier(n: int) -> Poly:
     """Degree-n member of the point-mass family, affine in N.
@@ -48,8 +56,7 @@ def gen_charlier(n: int) -> Poly:
     (scale, offset) = gen_weights(n), fixed by the two orthogonality
     conditions the classical family does not already grant.
     """
-    scale, offset = gen_weights(n)
-    return sum_products([(scale, charlier(n)), (-offset, shifted_charlier(n))])
+    return through_pieces(n, charlier(n), shifted_charlier(n))
 
 
 def alternative_form_residual(n: int) -> Poly:
@@ -88,16 +95,12 @@ def inner_product_general(p: Poly, q: Poly) -> Poly:
 def moment_vector(n: int) -> tuple[Poly, ...]:
     """<x^j, gen_charlier(n)> under the point-mass inner product, j = 0..n.
 
-    By linearity in the x-free weights of gen_weights(n), the classical part
-    is scale * classical.moment_vector(n) - offset * (moments of C_n(x-1));
-    the mass term N gen_charlier(n)(0) enters entry 0 alone.
+    The classical part is read through_pieces from classical.moment_vector(n)
+    and the moments of C_n(x-1); the mass term N gen_charlier(n)(0) enters
+    entry 0 alone.
     """
-    scale, offset = gen_weights(n)
     shifted = moments_of(shifted_charlier(n), n + 1)
-    vector = [
-        sum_products([(scale, c), (-offset, t)])
-        for c, t in zip(classical_moment_vector(n), shifted)
-    ]
+    vector = [through_pieces(n, c, t) for c, t in zip(classical_moment_vector(n), shifted)]
     vector[0] = vector[0] + N * gen_charlier(n).substitute(Var.X, 0)
     return tuple(vector)
 

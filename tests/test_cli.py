@@ -143,6 +143,38 @@ class TestGoldenOutputs:
         [line] = result.stderr.splitlines()
         assert line.startswith("charlier: error: cannot write stdout: ")
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs preexec_fn")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("poly", "charlier", "1", "--out", "/nonexistent/x"),
+            ("verify", "--suite", "classical", "--n-max", "1", "--corrupt-ai", "1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("closed", ["2", "1 and 2", "2 read-only"])
+    def test_closed_stderr_keeps_exit_2(self, argv, closed):
+        # The error line is lost, but the exit code must stay 2: not 1, a failed
+        # identity, nor 120, a failed flush at shutdown, and the line must not
+        # go to stdout instead.  "2 read-only" is what a shell-script launcher
+        # run with 2>&- leaves: fd 2 open, on the script, for reading only.
+        def close():
+            if closed == "2 read-only":
+                os.dup2(os.open(os.devnull, os.O_RDONLY), 2)
+            else:
+                for fd in map(int, closed.split(" and ")):
+                    os.close(fd)
+
+        result = subprocess.run(
+            [sys.executable, "-m", "charlier", *argv],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=ENV,
+            preexec_fn=close,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+
     def test_bad_format_is_usage_error(self):
         assert run_cli("coeffs", "--format", "xml").returncode == 2
 

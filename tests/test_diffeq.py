@@ -38,7 +38,7 @@ from charlier.diffeq import (
     verify_mixed_leading,
     verify_shifted_second_order,
     verify_uniqueness,
-    _resultant,
+    _gcd_in_a,
 )
 from charlier.polynomials import A, Poly, Var, X, parity_sign
 
@@ -133,14 +133,17 @@ class TestLeadingCoefficients:
     def test_degree_escalation(self, i):
         assert verify_degree_escalation(i)
 
-    @pytest.mark.parametrize("i", range(1, 7))
+    @pytest.mark.parametrize("i", range(1, 21))
     def test_no_shared_positive_root(self, i):
         assert verify_leading_coprime(i)
 
-    def test_resultant_detects_common_roots(self):
+    def test_gcd_detects_common_roots(self):
         # (a^2 - 1) and (a - 1) share a root; (a - 3) does not
-        assert _resultant([Fraction(1), Fraction(0), Fraction(-1)], [Fraction(1), Fraction(-1)]) == 0
-        assert _resultant([Fraction(1), Fraction(0), Fraction(-1)], [Fraction(1), Fraction(-3)]) == 8
+        assert _gcd_in_a(A**2 - 1, A - 1) == A - 1
+        assert _gcd_in_a(A**2 - 1, A - 3) == 1
+
+    def test_gcd_keeps_the_common_a_power(self):
+        assert _gcd_in_a(A * (A - 1), A * (A + 2)) == A
 
 
 class TestMassAction:

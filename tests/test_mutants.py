@@ -2,10 +2,10 @@
 
 Each entry replaces one input of the certificates, at every name it is bound
 to, by a wrong version, and ``verify --suite all`` must then fail the entry's
-tag and exit 1.  The tags here belong to the suites a run of every suite
-sends to its forked child, so the failures must come back across that
-process boundary.  Every cache is cleared before and after each mutant, and
-every tag those suites report has an entry.
+tag and exit 1.  That run forks: the classical and generalized tags fail in
+the child, so their failures must come back across the process boundary, and
+the diffeq tags fail beside it.  Every cache is cleared before and after each
+mutant, and every tag of a run of every suite has an entry.
 """
 
 import json
@@ -17,8 +17,9 @@ from charlier import diffeq as dq
 from charlier import pointmass as pm
 from charlier import verify
 from charlier.cli import main
+from charlier.diffeq import DiffOperator, DifferenceChain
 from charlier.polynomials import A, N, Poly, Var, X
-from charlier.verify import FORKED_SUITES, SuiteSpec
+from charlier.verify import SUITES, SuiteSpec
 
 
 def wrong_mirror(right):
@@ -78,11 +79,55 @@ def wrong_moment_entry(entry, extra):
     return mutate
 
 
+def times_at(indices, factor):
+    def mutate(right):
+        return lambda i: right(i) * factor if i in indices else right(i)
+
+    return mutate
+
+
+def with_term(index, item):
+    """The right operator, with one more term (coeff, d, m) at one index."""
+    def mutate(right):
+        return lambda n: DiffOperator([*right(n).terms, item]) if n == index else right(n)
+
+    return mutate
+
+
+def wrong_power(right):
+    def power(self, order):
+        return right(self, order) + X if order == 2 and self.degree == 3 else right(self, order)
+
+    return power
+
+
+def wrong_nabla(right):
+    return lambda self: right(self) + X**2 if self.degree_in(Var.X) == 3 else right(self)
+
+
+def without_top_x(indices):
+    def mutate(right):
+        def coeffs(i):
+            p = right(i)
+            return p - X**i * p.coeff_of(Var.X, i) if i in indices else p
+
+        return coeffs
+
+    return mutate
+
+
+def wrong_solution(right):
+    return lambda max_i: {i: p + X if i == 3 else p for i, p in right(max_i).items()}
+
+
+# The series operator plus the identity at degree 3: read by both series tags.
+series_plus_identity = with_term(3, (Poly.const(1), 0, 0))
+
 # tag, name of the input, modules (or the class) that bind it, its wrong
 # version from the right one
 MUTANTS = [
     ("convolution", "charlier_mirror", (cl,), wrong_mirror),
-    ("construction", "gen_weights", (pm, dq), wrong_offset),
+    ("construction", "gen_weights", (pm,), wrong_offset),
     ("lowering", "delta", (Poly,), wrong_delta),
     ("second-order", "shift_x", (Poly,), wrong_forward_shift),
     ("laguerre", "laguerre", (cl, dq), plus_at(3, A)),
@@ -92,11 +137,26 @@ MUTANTS = [
     ("inverse-matrix", "charlier_mirror", (cl,), wrong_mirror),
     ("orthogonality", "moment", (cl,), plus_at(4, 1)),
     ("moment", "stirling2_row", (cl,), wrong_stirling_row),
-    ("mass-free", "gen_weights", (pm, dq), wrong_scale),
+    ("mass-free", "gen_weights", (pm,), wrong_scale),
     ("structure", "gen_charlier", (pm, dq), plus_at(3, N**2)),
     ("alternative-form", "shifted_charlier", (pm, dq), plus_at(3, X)),
     ("norm", "moment_vector", (pm,), wrong_moment_entry(-1, -1)),
     ("orthogonality-general", "moment_vector", (pm,), wrong_moment_entry(0, 1)),
+    ("difference-equation", "classical_operator", (dq,), with_term(3, (X, 2, 0))),
+    ("n-stratification", "coeff_a0", (dq,), plus_at(3, 1)),
+    ("mass-action", "__getitem__", (DifferenceChain,), wrong_power),
+    ("mass-action-shifted", "shifted_charlier", (pm, dq), plus_at(3, X)),
+    ("mass-action-cross", "_bracket_sum", (dq,), plus_at(3, X * A)),
+    ("classical-infinite-order", "classical_series_operator", (dq,), series_plus_identity),
+    ("combined-equation", "classical_series_operator", (dq,), series_plus_identity),
+    ("shifted-second-order", "shifted_charlier", (pm, dq), plus_at(2, A)),
+    ("backshift", "backshift_operator", (dq,), with_term(3, (X, 3, 0))),
+    ("coeff-structure", "_bracket", (dq,), plus_at(2, X * A**5)),
+    ("leading-x", "leading_x_laguerre_chain", (dq,), plus_at(3, A)),
+    ("uniqueness", "solve_coefficients", (dq,), wrong_solution),
+    ("degree-escalation", "coeff_ai", (dq,), without_top_x((2, 3))),
+    ("coprime-leading", "leading_x_closed_form", (dq,), times_at((3, 4), A - 1)),
+    ("mixed-leading", "nabla", (Poly,), wrong_nabla),
 ]
 
 
@@ -135,9 +195,10 @@ def test_mutant_fails_its_tag_in_the_forked_half(tag, name, modules, mutate, for
     assert len(forks) == 1 and received == [True]
 
 
-def test_every_forked_tag_has_a_mutant():
-    tags = {tag for tag, _, _ in verify._suite_cases(FORKED_SUITES, SuiteSpec(), None)}
-    assert tags - {m[0] for m in MUTANTS} == set()
+def test_every_tag_has_a_mutant():
+    tags = {tag for tag, _, _ in verify._suite_cases(SUITES, SuiteSpec(), None)}
+    assert len(tags) == 31
+    assert tags == {m[0] for m in MUTANTS}
 
 
 @pytest.mark.parametrize("tag,name,modules,mutate", MUTANTS, ids=[m[0] for m in MUTANTS])

@@ -113,3 +113,12 @@ def test_difference_equation_expands_to_zero(n):
     assert sp.degree(y, x) == n
     assert sp.expand(y * sp.Poly(gen, x).LC() - gen * sp.Poly(y, x).LC()) == 0
     assert equation(y, n) == 0
+
+
+@pytest.mark.parametrize("i", range(1, 13))
+def test_consecutive_leading_coefficients_share_only_a_power_of_a(i):
+    # The library certifies this through its own Euclid on Poly; here sympy
+    # takes the gcd of the x^i and x^(i+1) coefficients of its own a_i, a_(i+1).
+    lead, lead_next = (sympy_ai(j).coeff(x, j) for j in (i, i + 1))
+    assert lead != 0 and lead_next != 0
+    assert len(sp.Poly(sp.gcd(lead, lead_next), a).terms()) == 1
