@@ -28,7 +28,7 @@ from math import factorial
 from typing import Callable, Iterable, NamedTuple
 
 from .classical import binom_poly, charlier, laguerre
-from .pointmass import gen_charlier, shifted_charlier, through_pieces
+from .pointmass import shifted_charlier, through_pieces
 from .polynomials import A, N, Poly, Var, X, parity_sign, sum_products
 
 CoeffProvider = Callable[[int], Poly]
@@ -218,11 +218,6 @@ def mass_operator(n: int, order: int, coeffs: CoeffProvider = coeff_ai) -> DiffO
 
 # -- operator actions shared within one run ---------------------------------
 
-# The arguments whose chains and degree-n operator actions are kept:
-# gen_charlier(n), charlier(n) and charlier(n) shifted by -1.
-ARGUMENTS = ("generalized", "charlier", "shifted")
-
-
 def _mass_closed_form(n: int, point: int) -> Poly:
     """(-1)^(n-1) C_n(point) C_{n-1}(x-2)."""
     at_point = charlier(n).substitute(Var.X, point)
@@ -233,9 +228,9 @@ class OperatorActions:
     """Difference chains, operator actions and coefficient checks shared by
     the identities of one verify run.
 
-    Each chain, each action of a degree-n mass or series operator and each
-    left-hand side of the equation is built once, on first use, and keyed by
-    names and indices, never by a polynomial.  This is the one place a
+    Each chain and each action of a degree-n operator is built once, on
+    first use, and keyed by names and indices, never by a polynomial.  Only
+    the two pieces of gen_charlier(n) have chains.  This is the one place a
     coefficient provider enters: ``ai`` is ``coeffs``, or ``coeff_ai`` when
     none is given, and every mass operator and coefficient check here reads
     it, so an instance serves the one run it was made for.
@@ -246,28 +241,26 @@ class OperatorActions:
         self._chains: dict[tuple[str, int], DifferenceChain] = {}
         self._mixed: dict[int, list[DifferenceChain]] = {}
         self._actions: dict[tuple[str, str, int], Poly] = {}
-        self._equations: dict[int, Poly] = {}
 
     def chain(self, argument: str, n: int) -> DifferenceChain:
-        """The difference chain of one of the ARGUMENTS at degree n."""
+        """The difference chain of "charlier" C_n(x) or "shifted" C_n(x-1)."""
         key = (argument, n)
         chain = self._chains.get(key)
         if chain is None:
-            if argument not in ARGUMENTS:
-                raise ValueError(f"unknown argument {argument!r}")
-            if argument == "generalized":
-                y = gen_charlier(n)
-            elif argument == "charlier":
+            if argument == "charlier":
                 y = charlier(n)
-            else:
+            elif argument == "shifted":
                 y = shifted_charlier(n)
+            else:
+                raise ValueError(f"unknown argument {argument!r}")
             chain = self._chains[key] = DifferenceChain(y)
         return chain
 
     def _action(self, operator: str, argument: str, n: int) -> Poly:
-        """The "mass" operator sum_{i=0}^{n} ai Delta^i (degree-n a0) or the
-        "series" classical_series_operator(n) applied to a classical argument,
-        exact as deg_x is n; gen_charlier(n) is read through_pieces from both."""
+        """The "mass" operator sum_{i=0}^{n} ai Delta^i (degree-n a0), the
+        "series" classical_series_operator(n) or the "classical"
+        classical_operator(n) applied to a piece, exact as deg_x is n; every
+        operator is linear, so at gen_charlier(n) it is read through_pieces."""
         key = (operator, argument, n)
         action = self._actions.get(key)
         if action is None:
@@ -276,8 +269,10 @@ class OperatorActions:
                 action = through_pieces(n, at(operator, "charlier", n), at(operator, "shifted", n))
             elif operator == "mass":
                 action = mass_operator(n, n, self.ai).apply(self.chain(argument, n))
-            else:
+            elif operator == "series":
                 action = classical_series_operator(n).apply(self.chain(argument, n))
+            else:
+                action = classical_operator(n).apply(self.chain(argument, n))
             self._actions[key] = action
         return action
 
@@ -285,16 +280,8 @@ class OperatorActions:
         return self._action("mass", argument, n)
 
     def equation(self, n: int) -> Poly:
-        """Left-hand side of the full equation at y = gen_charlier(n).
-
-        The classical part reads the chain of gen_charlier(n) itself, up to
-        its second difference; the mass part comes from the two pieces."""
-        lhs = self._equations.get(n)
-        if lhs is None:
-            y = self.chain("generalized", n)
-            lhs = N * self.mass("generalized", n) + classical_operator(n).apply(y)
-            self._equations[n] = lhs
-        return lhs
+        """Left-hand side of the full equation at y = gen_charlier(n)."""
+        return N * self.mass("generalized", n) + self._action("classical", "generalized", n)
 
     def mass_action_residual(self, n: int) -> Poly:
         return self.mass("charlier", n) - _mass_closed_form(n, 0)

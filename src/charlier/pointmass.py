@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .classical import charlier, dot_moments, moments_of
+from .classical import charlier, dot_moments, inner_product_classical, moments_of
 from .classical import moment_vector as classical_moment_vector
 from .polynomials import N, Poly, Var, parity_sign, sum_products
 
@@ -75,20 +75,9 @@ def verify_alternative_form(n: int) -> bool:
     return not alternative_form_residual(n)
 
 
-def _general_moments(q: Poly, size: int) -> list[Poly]:
-    """<x^j, q> under the point-mass inner product for j < max(size, 1).
-
-    Only the constant test function sees the mass, so N q(0) enters entry 0
-    alone.
-    """
-    vector = moments_of(q, max(size, 1))
-    vector[0] = vector[0] + N * q.substitute(Var.X, 0)
-    return vector
-
-
 def inner_product_general(p: Poly, q: Poly) -> Poly:
     """Moment functional of the classical weight plus the mass term N p(0) q(0)."""
-    return dot_moments(p, _general_moments(q, p.degree_in(Var.X) + 1))
+    return inner_product_classical(p, q) + N * p.substitute(Var.X, 0) * q.substitute(Var.X, 0)
 
 
 @cache

@@ -41,7 +41,7 @@ class SuiteSpec(NamedTuple("SuiteSpec", [("suite", str), ("n_max", int), ("i_max
     def __new__(cls, suite: str = "all", n_max: int = 12, i_max: int = 12) -> SuiteSpec:
         if suite != "all" and suite not in SUITES:
             raise ValueError(f"unknown suite {suite!r}")
-        if not isinstance(n_max, int) or not isinstance(i_max, int):
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (n_max, i_max)):
             raise TypeError(f"n_max and i_max must be ints, got {n_max!r} and {i_max!r}")
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
@@ -301,7 +301,8 @@ def _run_beside(spec: SuiteSpec, coeffs: CoeffProvider | None) -> list[CaseRecor
     drops or falsifies a case.  Returns None if no child could be started.
     """
     try:
-        # Both halves read these: build them once, before the fork.
+        # Both halves read charlier(n), shifted_charlier(n) and gen_weights(n),
+        # which gen_charlier(n) builds; only the child reads gen_charlier(n).
         for n in range(spec.n_max + 1):
             pm.gen_charlier(n)
     except Exception:

@@ -26,7 +26,7 @@ from charlier.diffeq import (
     classical_series_operator,
     mass_operator,
 )
-from charlier.pointmass import _general_moments, gen_charlier
+from charlier.pointmass import gen_charlier
 from charlier.polynomials import A, N, Poly, Var, X, parity_sign
 
 
@@ -111,5 +111,5 @@ def reference_point_mass_actions(n: int, coeffs: CoeffProvider) -> tuple[Poly, P
 
 
 def reference_point_mass_moments(n: int) -> list[Poly]:
-    """<x^j, gen_charlier(n)> for j = 0..n, from gen_charlier(n) itself."""
-    return _general_moments(gen_charlier(n), n + 1)
+    """<x^j, gen_charlier(n)> for j = 0..n, each from the full product."""
+    return [reference_inner_product_general(X**j, gen_charlier(n)) for j in range(n + 1)]

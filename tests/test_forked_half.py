@@ -75,8 +75,10 @@ def test_one_usable_cpu_runs_serially(forks, monkeypatch):
 
 
 def test_a_piece_that_raises_fails_its_cases_on_both_paths(forks, capsys, monkeypatch):
-    # Both halves read gen_charlier, which the forked path builds before the
-    # fork: an error there must fail the cases that read it, as it does serially.
+    # Both halves read charlier(n), shifted_charlier(n) and gen_weights(n), which
+    # the forked path builds through gen_charlier(n) before the fork; only the
+    # child reads gen_charlier(n).  An error there must fail the cases that read
+    # it, as it does serially.
     argv = ("verify", "--suite", "all", "--n-max", "4", "--i-max", "4")
     right = pm.gen_weights
 

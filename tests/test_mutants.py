@@ -138,7 +138,7 @@ MUTANTS = [
     ("orthogonality", "moment", (cl,), plus_at(4, 1)),
     ("moment", "stirling2_row", (cl,), wrong_stirling_row),
     ("mass-free", "gen_weights", (pm,), wrong_scale),
-    ("structure", "gen_charlier", (pm, dq), plus_at(3, N**2)),
+    ("structure", "gen_charlier", (pm,), plus_at(3, N**2)),
     ("alternative-form", "shifted_charlier", (pm, dq), plus_at(3, X)),
     ("norm", "moment_vector", (pm,), wrong_moment_entry(-1, -1)),
     ("orthogonality-general", "moment_vector", (pm,), wrong_moment_entry(0, 1)),

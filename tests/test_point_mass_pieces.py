@@ -11,7 +11,7 @@ import pytest
 
 from charlier import diffeq as dq
 from charlier import pointmass as pm
-from charlier.diffeq import OperatorActions, coeff_ai
+from charlier.diffeq import DifferenceChain, OperatorActions, coeff_ai
 from charlier.polynomials import Var, X
 from charlier.verify import SuiteSpec, run_suite
 from reference_routes import (
@@ -65,11 +65,27 @@ def test_gen_charlier_is_the_written_construction(n):
 
 
 @pytest.mark.parametrize("n", range(13))
-def test_generalized_chain_stops_at_order_two(n):
+def test_no_chain_is_built_of_a_point_mass_member(n, monkeypatch):
+    built = []
+    right = DifferenceChain.__init__
+
+    def spy(self, y):
+        built.append(y)
+        right(self, y)
+
+    monkeypatch.setattr(DifferenceChain, "__init__", spy)
     actions = OperatorActions()
     actions.equation(n)
     actions.combined_equation_residual(n)
-    assert len(actions.chain("generalized", n)._powers) <= 3
+    actions.mass("generalized", n)
+    assert built and all(y.degree_in(Var.N) <= 0 for y in built)
+    with pytest.raises(ValueError, match="unknown argument"):
+        actions.chain("generalized", n)
+
+
+def test_diffeq_reads_only_the_pieces():
+    assert not hasattr(dq, "gen_charlier")
+    assert not hasattr(dq, "gen_weights")
 
 
 def test_checker_catches_a_wrong_shifted_piece(monkeypatch):

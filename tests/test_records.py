@@ -35,7 +35,8 @@ class TestSuiteSpec:
         with pytest.raises(ValueError, match=message):
             SuiteSpec(*args)
 
-    @pytest.mark.parametrize("args", [("all", 2.0, 3), ("all", 2, 3.0), ("diffeq", "2", 3)])
+    @pytest.mark.parametrize("args", [("all", 2.0, 3), ("all", 2, 3.0), ("diffeq", "2", 3),
+                                      ("all", True, 3), ("all", 3, True)])
     def test_non_integer_range_is_rejected(self, args):
         # Rejected here, not in range() after a forked child has started.
         with pytest.raises(TypeError, match="n_max and i_max must be ints"):

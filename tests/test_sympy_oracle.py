@@ -32,11 +32,18 @@ def terms_of(expr) -> dict:
 
 
 @cache
-def sympy_charlier(n: int, arg=x, param=a):
+def sympy_charlier(n: int):
+    """The n-th t-derivative of exp(-a t) (1 + t)^x at t = 0, over n!."""
     if n < 0:
         return sp.Integer(0)
-    series = sp.series(sp.exp(-param * t) * (1 + t) ** arg, t, 0, n + 1).removeO()
-    return sp.expand(series.coeff(t, n))
+    derivative = sp.diff(sp.exp(-a * t) * (1 + t) ** x, t, n)
+    return sp.expand(derivative.subs(t, 0) / sp.factorial(n))
+
+
+@cache
+def sympy_mirror(n: int):
+    """C_n(1 - x; -a), the t^n coefficient of exp(a t) (1 + t)^(1 - x)."""
+    return sympy_charlier(n).subs({x: 1 - x, a: -a}, simultaneous=True)
 
 
 def delta(f):
@@ -50,12 +57,12 @@ def nabla(f):
 @cache
 def sympy_ai(i: int):
     """sum_{k=1}^{i} (-1)^k C_{i-k}(1 - x; -a) [C_k(-1) C_k(x-2) - C_k(-2) C_k(x-1)]."""
-    total = 0
+    total = sp.Poly(0, x, a)
     for k in range(1, i + 1):
         ck = sympy_charlier(k)
         bracket = ck.subs(x, -1) * ck.subs(x, x - 2) - ck.subs(x, -2) * ck.subs(x, x - 1)
-        total += (-1) ** k * sympy_charlier(i - k, 1 - x, -a) * bracket
-    return sp.expand(total)
+        total += (-1) ** k * sp.Poly(sympy_mirror(i - k), x, a) * sp.Poly(bracket, x, a)
+    return total.as_expr()
 
 
 def sympy_a0(n: int):
