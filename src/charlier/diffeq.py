@@ -146,22 +146,60 @@ def coeff_a0(n: int) -> Poly:
 
 
 @cache
+def _lowered(k: int, by: int) -> Poly:
+    """C_k(x - by) for by >= 0 with C_k = charlier(k), by lowering.
+
+    Delta C_k = C_{k-1} gives C_k(x - by) = C_k(x - by + 1) - C_{k-1}(x - by),
+    so each piece is one addition of two cached pieces and no shift_x.
+    """
+    if by == 0 or k < 0:
+        return charlier(k)
+    for j in range(k):  # lower indices first, so no call recurses deeper
+        _lowered(j, by)
+    return _lowered(k, by - 1) - _lowered(k - 1, by)
+
+
+@cache
+def _kernel(k: int) -> Poly:
+    """E_k = sum_{m<k} a^(k-1-m) m! C_m(-2) C_m(x-2), with E_0 = 0.
+
+    This is a^(k-1) times the Christoffel-Darboux kernel of the family at
+    (x - 2, -2), since the squared norms are a^m / m!; each order adds one
+    product to a times the previous order.
+    """
+    if k < 1:
+        return Poly()
+    for j in range(1, k):  # lower orders first, so no call recurses deeper
+        _kernel(j)
+    m = k - 1
+    at_minus_two = charlier(m).substitute(Var.X, -2) * factorial(m)
+    return sum_products([(A, _kernel(m)), (at_minus_two, _lowered(m, 2))])
+
+
+@cache
 def _bracket(k: int) -> Poly:
-    """(-1)^k [C_k(-1) C_k(x-2) - C_k(-2) C_k(x-1)] with C_k = charlier(k)."""
-    # Not read from pointmass.shifted_charlier(k): every a_i with i >= k reads
-    # this bracket, so a wrong shared piece would fail far from its own index.
-    ck = charlier(k)
-    s = parity_sign(k)
-    return sum_products([
-        (ck.substitute(Var.X, -1) * s, ck.shift_x(-2)),
-        (ck.substitute(Var.X, -2) * -s, ck.shift_x(-1)),
-    ])
+    """B_k = (-1)^k [C_k(-1) C_k(x-2) - C_k(-2) C_k(x-1)] with C_k = charlier(k).
+
+    Christoffel-Darboux at (x - 2, -2) writes the kernel sum E_k =
+    ``_kernel(k)`` as k! [C_k(x-2) C_{k-1}(-2) - C_{k-1}(x-2) C_k(-2)] / x,
+    and lowering turns that bracket into B_k, so B_k = (-1)^k x E_k / k!.
+    """
+    # Built from diffeq's own lowered pieces, not pointmass.shifted_charlier(k):
+    # every a_i with i >= k reads this bracket, so a wrong shared piece would
+    # fail far from its own index.
+    return sum_products([(X * Fraction(parity_sign(k), factorial(k)), _kernel(k))])
 
 
 @cache
 def _reflected_binom(j: int) -> Poly:
-    """binom(1 - x, j), a polynomial in x alone with j + 1 terms."""
-    return binom_poly(j).negate_var(Var.X).shift_x(-1)
+    """binom(1 - x, j), a polynomial in x alone with j + 1 terms.
+
+    Pascal's rule at -x: binom(-x, j) + binom(-x, j - 1), with binom(-x, j)
+    read from binom_poly(j) by negating x.
+    """
+    if j < 1:
+        return binom_poly(j)
+    return binom_poly(j).negate_var(Var.X) + binom_poly(j - 1).negate_var(Var.X)
 
 
 @cache
@@ -186,7 +224,9 @@ def coeff_ai(i: int) -> Poly:
     M_j = sum_m (a^m / m!) binom(1 - x, j - m) factors the convolution into
     sum_{m=0}^{i-1} (a^m / m!) D_{i-m}, where D_j = ``_bracket_sum(j)`` holds
     the large products, each built once and shared by every order that reads
-    it, and each product here is by a single monomial.
+    it, and each product here is by a single monomial.  Each B_k is one
+    product of the Christoffel-Darboux kernel ``_kernel(k)``, and the shifted
+    pieces come from lowering, so no shift_x runs on this route.
     """
     if i < 1:
         raise ValueError("order must be >= 1")

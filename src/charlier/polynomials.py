@@ -65,6 +65,9 @@ _GUARD = sum(EXPONENT_LIMIT << s for s in _SHIFTS)
 # (field shift, name); term *ordering* is graded lexicographic on
 # (e_x, e_a, e_N), descending.
 _PRINT_ORDER = ((_SHIFTS[1], "a"), (_SHIFTS[2], "N"), (_SHIFTS[0], "x"))
+# Monomial text per render style (sep, power), keyed by packed key: each
+# monomial is formatted once per style.
+_MONOMIALS: dict[tuple[str, str], dict[int, str]] = {}
 
 
 def _rational(value: object) -> Fraction:
@@ -280,6 +283,10 @@ class Poly:
             for shift in _SHIFTS:
                 if self._degree(shift) * k >= EXPONENT_LIMIT:
                     raise ValueError(f"power exponent reaches {EXPONENT_LIMIT}")
+        if len(self._terms) == 1:
+            # (c m)^k = c^k m^k: one term, canonical as gcd(num, den) = 1
+            ((key, num),) = self._terms.items()
+            return Poly._raw({key * k: num**k}, self._den**k)
         result = Poly.const(1)
         base = self
         while k:
@@ -368,14 +375,17 @@ class Poly:
         if not self._terms:
             return "0"
         den = self._den
+        monomials = _MONOMIALS.setdefault((sep, power), {})
         parts: list[str] = []
         for key, num in self._ordered():
-            factors = []
-            for shift, name in _PRINT_ORDER:
-                e = (key >> shift) & _MASK
-                if e:
-                    factors.append(name if e == 1 else power.format(name, e))
-            mono = sep.join(factors)
+            mono = monomials.get(key)
+            if mono is None:
+                factors = []
+                for shift, name in _PRINT_ORDER:
+                    e = (key >> shift) & _MASK
+                    if e:
+                        factors.append(name if e == 1 else power.format(name, e))
+                mono = monomials[key] = sep.join(factors)
             g = gcd(num, den)
             top, bottom = abs(num) // g, den // g
             mag = str(top) if bottom == 1 else fraction.format(top, bottom)

@@ -2,9 +2,12 @@
 
 a_i is built from cached bracket sums and charlier(n) reads a cached
 falling-factorial basis; both must equal the per-order reference routes
-exactly.  The uniqueness certificate must stay an independent route:
-a wrong bracket changes a_i but not the forward-substitution solution.  A
-hash pins the whole order-20 table.
+exactly.  The brackets come from the Christoffel-Darboux kernel and the
+shifted pieces C_k(x-1), C_k(x-2) from lowering, so building a_i shifts
+nothing; each piece must equal its definition written with shift_x.  The
+uniqueness certificate must stay an independent route: a wrong bracket
+changes a_i but not the forward-substitution solution.  Hashes pin the whole
+order-20 and order-30 tables.
 """
 
 import hashlib
@@ -16,11 +19,15 @@ import pytest
 from charlier import diffeq as dq
 from charlier.classical import binom_poly, charlier
 from charlier.cli import main
-from charlier.polynomials import X
+from charlier.polynomials import Poly, Var, X, parity_sign
 from reference_routes import reference_binom_poly, reference_charlier, reference_coeff_ai
+from test_mutants import clear_caches
 
 # SHA-256 of `charlier coeffs --max-i 20 --format json` stdout.
 JSON_MAX20 = "f0fcede4e51f4e312b9794e4d47eabcf4741bccf1c4a27acc2c97b44ad155061"
+# SHA-256 of `charlier coeffs --max-i 30 --format json` stdout, the largest
+# order the CLI accepts.
+JSON_MAX30 = "1912515ab91a061f87357c522e3f58ec70a5169ff4635fcf5ee4278d7000f49a"
 
 
 @pytest.mark.parametrize("i", range(1, 15))
@@ -60,6 +67,64 @@ def test_negative_binom_index_rejected():
         binom_poly(-1)
 
 
+def shifted_bracket(k):
+    """B_k = (-1)^k [C_k(-1) C_k(x-2) - C_k(-2) C_k(x-1)], shifted directly."""
+    ck = charlier(k)
+    return (ck.substitute(Var.X, -1) * ck.shift_x(-2)
+            - ck.substitute(Var.X, -2) * ck.shift_x(-1)) * parity_sign(k)
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_bracket_matches_its_shifted_definition(k):
+    assert dq._bracket(k) == shifted_bracket(k)
+
+
+@pytest.mark.parametrize("k", range(31))
+def test_lowered_pieces_are_the_shifted_family(k):
+    assert dq._lowered(k, 0) == charlier(k)
+    assert dq._lowered(k, 1) == charlier(k).shift_x(-1)
+    assert dq._lowered(k, 2) == charlier(k).shift_x(-2)
+
+
+@pytest.mark.parametrize("j", range(31))
+def test_reflected_binom_is_binom_of_one_minus_x(j):
+    assert dq._reflected_binom(j) == binom_poly(j).negate_var(Var.X).shift_x(-1)
+
+
+def test_lowered_pieces_and_kernel_build_without_recursion():
+    # 25 frames above the current depth: building either by recursion on
+    # the index would need one frame per index below it.
+    clear_caches()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 25)
+    try:
+        top, bracket = dq._lowered(60, 2), dq._bracket(35)
+    finally:
+        sys.setrecursionlimit(limit)
+        clear_caches()
+    assert top == charlier(60).shift_x(-2)
+    assert bracket == shifted_bracket(35)
+
+
+def test_coefficients_are_built_without_shift_x(monkeypatch):
+    calls = []
+    real = Poly.shift_x
+
+    def spy(self, offset):
+        calls.append(offset)
+        return real(self, offset)
+
+    clear_caches()
+    monkeypatch.setattr(Poly, "shift_x", spy)
+    try:
+        table = [dq.coeff_ai(i) for i in range(1, 21)]
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert calls == []
+    assert table[4] == reference_coeff_ai(5)
+
+
 def test_uniqueness_does_not_read_the_brackets(monkeypatch):
     solved = dq.solve_coefficients(4)
     right = dq._bracket
@@ -86,3 +151,9 @@ def test_deep_table_is_byte_stable(capsys):
     assert main(["coeffs", "--max-i", "20", "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == JSON_MAX20
+
+
+def test_deepest_table_is_byte_stable(capsys):
+    assert main(["coeffs", "--max-i", "30", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == JSON_MAX30

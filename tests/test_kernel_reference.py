@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charlier import polynomials
 from charlier.polynomials import EXPONENT_LIMIT, A, Poly, Var, X, sum_products
 from reference_poly import RefPoly
 from strategies import coefficients, term_maps
@@ -62,6 +63,35 @@ def test_scalar_operations(pair, c):
 def test_powers(pair, k):
     p, r = pair
     assert_same(p**k, r**k)
+
+
+# one-term bases: each variable alone and one mixed monomial, with
+# coefficients 1, negative and fractional
+MONOMIALS = [
+    {(1, 0, 0): 1}, {(0, 1, 0): -1}, {(0, 0, 1): Fraction(2, 3)},
+    {(2, 1, 1): Fraction(-5, 4)}, {(0, 3, 0): 1}, {(0, 0, 0): Fraction(-3, 2)},
+]
+
+
+@pytest.mark.parametrize("terms", MONOMIALS, ids=str)
+def test_one_term_powers(terms, monkeypatch):
+    # a one-term base is raised directly, never through a product
+    products = []
+    real = polynomials.sum_products
+    monkeypatch.setattr(polynomials, "sum_products",
+                        lambda pairs: products.append(pairs) or real(pairs))
+    for k in range(7):
+        assert_same(Poly(terms) ** k, RefPoly(terms) ** k)
+    assert products == []
+
+
+def test_one_term_power_reaching_the_exponent_limit_is_rejected():
+    top = EXPONENT_LIMIT // 2
+    with pytest.raises(ValueError):
+        Poly({(0, 2, 0): Fraction(-1, 3)}) ** top
+    with pytest.raises(ValueError):
+        Poly({(1, 0, 1): 1}) ** EXPONENT_LIMIT
+    assert (A**2) ** (top - 1) == Poly({(0, EXPONENT_LIMIT - 2, 0): 1})
 
 
 @settings(deadline=None)
