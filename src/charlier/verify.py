@@ -9,6 +9,7 @@ to the timing fields.
 
 from __future__ import annotations
 
+import functools
 import gc
 import marshal
 import os
@@ -166,9 +167,11 @@ def _classical_cases(spec: SuiteSpec) -> Iterable[Case]:
             yield "shift", (n, label), lambda n=n, p=p: cl.shift_identity_residual(n, p)
     for n in range(1, n_max + 1):
         yield "value-difference", (n,), lambda n=n: cl.verify_value_difference(n)
+    # Reindexed, the sum of (i, j) is term for term the sum of (i - j, 0).
+    by_distance = functools.cache(lambda m: cl.convolution_residual(m, 0))
     for i in range(n_max + 1):
         for j in range(i + 1):
-            yield "convolution", (i, j), lambda i=i, j=j: cl.convolution_residual(i, j)
+            yield "convolution", (i, j), lambda i=i, j=j: by_distance(i - j)
     for n in range(1, min(n_max, 6) + 1):
         yield "inverse-matrix", (n,), lambda n=n: cl.verify_inverse_matrix(n)
     for m in range(n_max + 1):
@@ -229,17 +232,19 @@ def _diffeq_cases(spec: SuiteSpec, coeffs: CoeffProvider | None) -> Iterable[Cas
         yield "shifted-second-order", (n,), lambda n=n: dq.shifted_second_order_residual(n)
     for n in range(min(n_max, 10) + 1):
         yield "backshift", (n,), lambda n=n: dq.backshift_residual(actions.chain("charlier", n))
-    solved: dict[int, Poly] = {}
-
-    def _solved(i: int) -> Poly:
-        if not solved:
-            solved.update(dq.solve_coefficients(i_max))
-        return solved[i]
-
+    # Row i of the unit triangular system that fixes a_1..a_i is the mass
+    # action on C_i(x-1), with pivot Delta^i C_i(x-1) = 1.  Once rows 1..i
+    # hold at coeff_ai, it is the only solution to order i; a provider's run
+    # reads the rows from a second, provider-free instance.
+    exact = actions if coeffs is None else dq.OperatorActions()
     for i in range(1, i_max + 1):
         yield "coeff-structure", (i,), lambda i=i: actions.verify_degree_claims(i)
         yield "leading-x", (i,), lambda i=i: actions.verify_leading_x(i)
-        yield "uniqueness", (i,), lambda i=i: _solved(i) - actions.ai(i)
+        yield "uniqueness", (i,), lambda i=i: (
+            exact.chain("shifted", i)[i] - 1
+            or exact.mass_action_shifted_residual(i)
+            or exact.ai(i) - actions.ai(i)
+        )
     for i in range(1, i_max):
         yield "degree-escalation", (i,), lambda i=i: actions.verify_degree_escalation(i)
     for i in range(1, min(i_max, 6) + 1):

@@ -4,10 +4,10 @@ a_i is built from cached bracket sums and charlier(n) reads a cached
 falling-factorial basis; both must equal the per-order reference routes
 exactly.  The brackets come from the Christoffel-Darboux kernel and the
 shifted pieces C_k(x-1), C_k(x-2) from lowering, so building a_i shifts
-nothing; each piece must equal its definition written with shift_x.  The
-uniqueness certificate must stay an independent route: a wrong bracket
-changes a_i but not the forward-substitution solution.  Hashes pin the whole
-order-20 and order-30 tables.
+nothing; each piece must equal its definition written with shift_x.
+solve_coefficients, the forward substitution that no verify case calls,
+must stay the library's independent route: a wrong bracket changes a_i but
+not its solution.  Hashes pin the whole order-20 and order-30 tables.
 """
 
 import hashlib

@@ -116,10 +116,6 @@ def without_top_x(indices):
     return mutate
 
 
-def wrong_solution(right):
-    return lambda max_i: {i: p + X if i == 3 else p for i, p in right(max_i).items()}
-
-
 # The series operator plus the identity at degree 3: read by both series tags.
 series_plus_identity = with_term(3, (Poly.const(1), 0, 0))
 
@@ -153,7 +149,7 @@ MUTANTS = [
     ("backshift", "backshift_operator", (dq,), with_term(3, (X, 3, 0))),
     ("coeff-structure", "_bracket", (dq,), plus_at(2, X * A**5)),
     ("leading-x", "leading_x_laguerre_chain", (dq,), plus_at(3, A)),
-    ("uniqueness", "solve_coefficients", (dq,), wrong_solution),
+    ("uniqueness", "_bracket", (dq,), plus_at(3, X)),
     ("degree-escalation", "coeff_ai", (dq,), without_top_x((2, 3))),
     ("coprime-leading", "leading_x_closed_form", (dq,), times_at((3, 4), A - 1)),
     ("mixed-leading", "nabla", (Poly,), wrong_nabla),

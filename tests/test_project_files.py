@@ -1,4 +1,5 @@
-"""The project files agree with the package: the version and the README examples."""
+"""The project files agree with the package: the version, the README examples
+and the index limit the README states."""
 
 import re
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import charlier
+from charlier import cli
 from charlier.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,3 +34,8 @@ def test_readme_quick_start_reprs():
     assert len(examples) >= 5
     for expression, expected in examples:
         assert repr(eval(expression, vars(charlier))) == expected, expression
+
+
+def test_readme_states_the_index_limit():
+    stated = re.findall(r"`cli\.INDEX_LIMIT` = (\d+)", README)
+    assert stated and all(int(limit) == cli.INDEX_LIMIT for limit in stated)

@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from charlier import classical as cl
+from charlier import diffeq as dq
 from charlier import pointmass as pm
 from charlier import verify
 from charlier.cli import main
@@ -23,6 +25,9 @@ PINNED_REPORTS = [
      "e1c409d1e245a55ab0a59bc2df84742684017592bfe60f8ecb5aab5997c465a8"),
     (("verify", "--suite", "diffeq", "--n-max", "12", "--i-max", "12", "--corrupt-ai", "5"), 1,
      "918638ab6acaf120483a29fa31139ad1cdf7c1dcdc52315e6f7329cb545e87c0"),
+    # uniqueness rows 4..8 past n_max, which no mass-action case builds
+    (("verify", "--suite", "diffeq", "--n-max", "3", "--i-max", "8", "--corrupt-ai", "6"), 1,
+     "345873f17bf0fde18115877282ae005a9fc4b5c8877fa9c129a030f5dcba47c2"),
 ]
 
 # Identities that read the mass operator of degree n >= I once the order-I
@@ -44,6 +49,44 @@ def normalized_digest(stdout: str) -> str:
 def test_report_is_byte_stable(argv, code, digest, capsys):
     assert main(list(argv)) == code
     assert normalized_digest(capsys.readouterr().out) == digest
+
+
+@pytest.fixture
+def unsolved(monkeypatch):
+    """No forward substitution: uniqueness is read from the mass-action rows
+    on C_i(x-1), not solved a second time."""
+    def unread(max_i):
+        raise AssertionError("solve_coefficients was called")
+
+    monkeypatch.setattr(dq, "solve_coefficients", unread)
+
+
+@pytest.mark.parametrize("argv,code,digest", PINNED_REPORTS)
+def test_pinned_reports_need_no_forward_substitution(argv, code, digest, unsolved, forks,
+                                                     capsys):
+    assert main(list(argv)) == code
+    assert normalized_digest(capsys.readouterr().out) == digest
+    assert len(forks) == (argv[2] == "all")
+
+
+def test_diffeq_run_needs_no_forward_substitution(unsolved, capsys):
+    assert main(["verify", "--suite", "diffeq"]) == 0
+
+
+def test_each_convolution_is_summed_once_per_distance(monkeypatch):
+    calls = []
+    right = cl.convolution_residual
+
+    def counted(i, j):
+        calls.append((i, j))
+        return right(i, j)
+
+    monkeypatch.setattr(cl, "convolution_residual", counted)
+    cases = [c for c in verify._classical_cases(SuiteSpec("classical", 12, 12))
+             if c[0] == "convolution"]
+    records = verify._run_cases(cases)
+    assert len(records) == 91 and all(r.status == "pass" for r in records)
+    assert sorted(calls) == [(m, 0) for m in range(13)]
 
 
 def corrupt(bad: int):
