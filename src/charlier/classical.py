@@ -141,11 +141,16 @@ def verify_shift_identity(n: int, p: RationalLike) -> bool:
 
 
 def convolution_residual(i: int, j: int) -> Poly:
-    """sum_k charlier(i-k) * charlier_mirror(k-j), minus the Kronecker delta."""
+    """sum_k charlier(i-k) * charlier_mirror(k-j), minus the Kronecker delta.
+
+    Reindexed by k - j, the sum is term for term sum_{k<=m} charlier(m-k) *
+    charlier_mirror(k) with m = i - j, so it is summed in that form.
+    """
     if not 0 <= j <= i:
         raise ValueError("need 0 <= j <= i")
-    total = sum_products((charlier(i - k), charlier_mirror(k - j)) for k in range(j, i + 1))
-    return total - (1 if i == j else 0)
+    m = i - j
+    total = sum_products((charlier(m - k), charlier_mirror(k)) for k in range(m + 1))
+    return total - (1 if m == 0 else 0)
 
 
 def verify_convolution(i: int, j: int) -> bool:
@@ -155,10 +160,11 @@ def verify_convolution(i: int, j: int) -> bool:
 def verify_inverse_matrix(n: int) -> bool:
     """The unit triangular matrices with entries charlier(i-j) and
     charlier_mirror(i-j) multiply to the identity: entry (i, j <= i) is
-    convolution_residual(i, j) + delta_ij, and above the diagonal it is 0."""
+    convolution_residual(i, j) + delta_ij, and above the diagonal it is 0.
+    Entry (i, j) depends on i - j alone, so n sums, at (m, 0), cover all."""
     if n < 1:
         raise ValueError("matrix size must be >= 1")
-    return all(not convolution_residual(i, j) for i in range(n) for j in range(i + 1))
+    return all(not convolution_residual(m, 0) for m in range(n))
 
 
 def verify_value_formulas(n: int) -> bool:

@@ -160,34 +160,24 @@ def _lowered(k: int, by: int) -> Poly:
 
 
 @cache
-def _kernel(k: int) -> Poly:
-    """E_k = sum_{m<k} a^(k-1-m) m! C_m(-2) C_m(x-2), with E_0 = 0.
-
-    This is a^(k-1) times the Christoffel-Darboux kernel of the family at
-    (x - 2, -2), since the squared norms are a^m / m!; each order adds one
-    product to a times the previous order.
-    """
-    if k < 1:
-        return Poly()
-    for j in range(1, k):  # lower orders first, so no call recurses deeper
-        _kernel(j)
-    m = k - 1
-    at_minus_two = charlier(m).substitute(Var.X, -2) * factorial(m)
-    return sum_products([(A, _kernel(m)), (at_minus_two, _lowered(m, 2))])
-
-
-@cache
 def _bracket(k: int) -> Poly:
     """B_k = (-1)^k [C_k(-1) C_k(x-2) - C_k(-2) C_k(x-1)] with C_k = charlier(k).
 
-    Christoffel-Darboux at (x - 2, -2) writes the kernel sum E_k =
-    ``_kernel(k)`` as k! [C_k(x-2) C_{k-1}(-2) - C_{k-1}(x-2) C_k(-2)] / x,
-    and lowering turns that bracket into B_k, so B_k = (-1)^k x E_k / k!.
+    B_0 = 0 and B_k = -(a/k) B_{k-1} + ((-1)^k / k) C_{k-1}(-2) x C_{k-1}(x-2):
+    Christoffel-Darboux at (x - 2, -2) gives B_k = (-1)^k x E_k / k! for the
+    kernel sums E_k = a E_{k-1} + (k-1)! C_{k-1}(-2) C_{k-1}(x-2), and putting
+    the first relation into the second removes E_k.
     """
+    if k < 1:
+        return Poly()
     # Built from diffeq's own lowered pieces, not pointmass.shifted_charlier(k):
     # every a_i with i >= k reads this bracket, so a wrong shared piece would
     # fail far from its own index.
-    return sum_products([(X * Fraction(parity_sign(k), factorial(k)), _kernel(k))])
+    for j in range(1, k):  # lower orders first, so no call recurses deeper
+        _bracket(j)
+    m = k - 1
+    at_minus_two = charlier(m).substitute(Var.X, -2) * Fraction(parity_sign(k), k)
+    return sum_products([(A * Fraction(-1, k), _bracket(m)), (X * at_minus_two, _lowered(m, 2))])
 
 
 @cache
@@ -224,9 +214,9 @@ def coeff_ai(i: int) -> Poly:
     M_j = sum_m (a^m / m!) binom(1 - x, j - m) factors the convolution into
     sum_{m=0}^{i-1} (a^m / m!) D_{i-m}, where D_j = ``_bracket_sum(j)`` holds
     the large products, each built once and shared by every order that reads
-    it, and each product here is by a single monomial.  Each B_k is one
-    product of the Christoffel-Darboux kernel ``_kernel(k)``, and the shifted
-    pieces come from lowering, so no shift_x runs on this route.
+    it, and each product here is by a single monomial.  Each B_k comes from
+    B_{k-1} by one two-term recurrence over the lowered piece C_{k-1}(x-2),
+    so no shift_x runs on this route.
     """
     if i < 1:
         raise ValueError("order must be >= 1")

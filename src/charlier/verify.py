@@ -167,7 +167,6 @@ def _classical_cases(spec: SuiteSpec) -> Iterable[Case]:
             yield "shift", (n, label), lambda n=n, p=p: cl.shift_identity_residual(n, p)
     for n in range(1, n_max + 1):
         yield "value-difference", (n,), lambda n=n: cl.verify_value_difference(n)
-    # Reindexed, the sum of (i, j) is term for term the sum of (i - j, 0).
     by_distance = functools.cache(lambda m: cl.convolution_residual(m, 0))
     for i in range(n_max + 1):
         for j in range(i + 1):

@@ -2,9 +2,10 @@
 
 a_i is built from cached bracket sums and charlier(n) reads a cached
 falling-factorial basis; both must equal the per-order reference routes
-exactly.  The brackets come from the Christoffel-Darboux kernel and the
-shifted pieces C_k(x-1), C_k(x-2) from lowering, so building a_i shifts
-nothing; each piece must equal its definition written with shift_x.
+exactly.  Each bracket comes from the one before it by a two-term
+recurrence and the shifted pieces C_k(x-1), C_k(x-2) from lowering, so
+building a_i shifts nothing; each piece must equal its definition written
+with shift_x, and the shifted brackets must obey the recurrence.
 solve_coefficients, the forward substitution that no verify case calls,
 must stay the library's independent route: a wrong bracket changes a_i but
 not its solution.  Hashes pin the whole order-20 and order-30 tables.
@@ -19,7 +20,7 @@ import pytest
 from charlier import diffeq as dq
 from charlier.classical import binom_poly, charlier
 from charlier.cli import main
-from charlier.polynomials import Poly, Var, X, parity_sign
+from charlier.polynomials import A, Poly, Var, X, parity_sign
 from reference_routes import reference_binom_poly, reference_charlier, reference_coeff_ai
 from test_mutants import clear_caches
 
@@ -78,6 +79,14 @@ def shifted_bracket(k):
 def test_bracket_matches_its_shifted_definition(k):
     assert dq._bracket(k) == shifted_bracket(k)
 
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_shifted_brackets_obey_the_two_term_recurrence(k):
+    # k B_k + a B_{k-1} = (-1)^k C_{k-1}(-2) x C_{k-1}(x-2), every piece
+    # shifted directly, apart from the route that builds _bracket.
+    prev = charlier(k - 1)
+    expected = prev.substitute(Var.X, -2) * X * prev.shift_x(-2) * parity_sign(k)
+    assert k * shifted_bracket(k) + A * shifted_bracket(k - 1) == expected
 
 @pytest.mark.parametrize("k", range(31))
 def test_lowered_pieces_are_the_shifted_family(k):

@@ -1,6 +1,7 @@
-"""The project files agree with the package: the version, the README examples
-and the index limit the README states."""
+"""The project files agree with the package: the version, the README examples,
+the index limit and the code names the README states."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -39,3 +40,12 @@ def test_readme_quick_start_reprs():
 def test_readme_states_the_index_limit():
     stated = re.findall(r"`cli\.INDEX_LIMIT` = (\d+)", README)
     assert stated and all(int(limit) == cli.INDEX_LIMIT for limit in stated)
+
+
+def test_readme_names_only_code_that_exists():
+    modules = "cli|verify|diffeq|classical|pointmass|polynomials"
+    named = re.findall(rf"`({modules})\.(\w+)", README)
+    assert len(named) >= 10
+    missing = [f"{module}.{name}" for module, name in named
+               if not hasattr(importlib.import_module(f"charlier.{module}"), name)]
+    assert missing == []

@@ -89,6 +89,22 @@ def test_each_convolution_is_summed_once_per_distance(monkeypatch):
     assert sorted(calls) == [(m, 0) for m in range(13)]
 
 
+def test_classical_run_sums_each_convolution_by_its_distance(monkeypatch):
+    calls = []
+    right = cl.convolution_residual
+
+    def counted(i, j):
+        calls.append((i, j))
+        return right(i, j)
+
+    monkeypatch.setattr(cl, "convolution_residual", counted)
+    records = verify._run_cases(verify._classical_cases(SuiteSpec("classical", 12, 12)))
+    assert records and all(r.status == "pass" for r in records)
+    # once per distance for the convolution cases, n sums for inverse-matrix n
+    expected = [(m, 0) for m in range(13)] + [(m, 0) for n in range(1, 7) for m in range(n)]
+    assert sorted(calls) == sorted(expected)
+
+
 def corrupt(bad: int):
     def coeffs(i: int):
         table = coeff_ai(i)
