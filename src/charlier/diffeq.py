@@ -497,16 +497,11 @@ def verify_mixed_leading(i: int, k: int, n: int) -> bool:
 
 
 def forward_substitution_rhs(n: int) -> Poly:
-    """Right-hand side of the unit triangular system that determines the
-    coefficients of order 1..n once a0 is fixed."""
+    """Right side of row n of the unit triangular system for a1..an: the closed
+    form of the mass action on C_n(x-1) minus its order-zero term a0(n) C_n(x-1)."""
     if n < 1:
         raise ValueError("index must be >= 1")
-    cn = charlier(n)
-    prev = charlier(n - 1)
-    return (
-        cn.substitute(Var.X, -1) * prev.shift_x(-2)
-        - prev.substitute(Var.X, -2) * cn.shift_x(-1)
-    ) * parity_sign(n - 1)
+    return _mass_closed_form(n, -1) - coeff_a0(n) * charlier(n).shift_x(-1)
 
 
 def solve_coefficients(max_i: int) -> dict[int, Poly]:

@@ -318,9 +318,6 @@ def _run_beside(spec: SuiteSpec, coeffs: CoeffProvider | None) -> list[CaseRecor
         read_fd, write_fd = os.pipe()
     except OSError:
         return None
-    # Frozen objects are left out of the child's collections, which would
-    # otherwise write to, and so copy, every inherited page holding one.
-    gc.freeze()
     try:
         pid = os.fork()
     except OSError:
@@ -328,13 +325,16 @@ def _run_beside(spec: SuiteSpec, coeffs: CoeffProvider | None) -> list[CaseRecor
     if pid == 0:
         code = 1
         try:
+            # Frozen objects are left out of the child's collections, which
+            # would otherwise write to, and so copy, every inherited page
+            # holding one.  Only the child freezes: the caller's gc is as it was.
+            gc.freeze()
             os.close(read_fd)
             _ship(write_fd, _run_cases(_suite_cases(FORKED_SUITES, spec, coeffs)))
             code = 0
         finally:
             # No stdio flush, atexit or test-runner hook runs in the child.
             os._exit(code)
-    gc.unfreeze()
     os.close(write_fd)
     if pid < 0:
         os.close(read_fd)

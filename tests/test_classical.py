@@ -14,6 +14,7 @@ from charlier.classical import (
     inner_product_classical,
     laguerre,
     moment,
+    moments_of,
     orthogonality_residual,
     second_order_residual,
     stirling2,
@@ -133,6 +134,12 @@ class TestDifferenceIdentities:
     def test_shift_identity(self, n, p):
         assert verify_shift_identity(n, p)
 
+    @pytest.mark.parametrize("r", range(31))
+    def test_exponential_times_generating_function_is_binomial(self, r):
+        # e^(at) sum_n C_n t^n = (1 + t)^x, read at t^r
+        terms = (A**m / math.factorial(m) * charlier(r - m) for m in range(r + 1))
+        assert sum(terms, Poly()) == binom_poly(r)
+
 
 class TestConvolution:
     def test_diagonal(self):
@@ -201,6 +208,31 @@ class TestMoments:
         num = sum(Fraction(x**k, math.factorial(x)) for x in range(61))
         den = sum(Fraction(1, math.factorial(x)) for x in range(61))
         assert abs(num / den - moment(k).evaluate(a=1)) < Fraction(1, 10**12)
+
+
+class TestMomentRows:
+    """The rows r_n[j] = <x^j, C_n> against the three-term recurrence and
+    lowering, each side read from moments_of."""
+
+    @staticmethod
+    def rows(n):
+        return moments_of(charlier(n), n + 2)  # charlier(-1) is zero
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_rows_obey_the_three_term_recurrence(self, n):
+        # (n+1) C_{n+1} = (x - a - n) C_n - a C_{n-1}
+        prev, row, nxt = self.rows(n - 1), self.rows(n), self.rows(n + 1)
+        for j in range(n + 1):
+            expected = (row[j + 1] - (A + n) * row[j] - A * prev[j]) / (n + 1)
+            assert nxt[j] == expected
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_shifted_rows_by_lowering(self, n):
+        # C_n(x-1) = C_n(x) - C_{n-1}(x-1)
+        shifted = moments_of(charlier(n).shift_x(-1), n + 1)
+        lower = moments_of(charlier(n - 1).shift_x(-1), n + 1)
+        row = self.rows(n)
+        assert shifted == [row[j] - lower[j] for j in range(n + 1)]
 
 
 class TestInnerProduct:

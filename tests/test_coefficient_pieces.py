@@ -8,7 +8,9 @@ building a_i shifts nothing; each piece must equal its definition written
 with shift_x, and the shifted brackets must obey the recurrence.
 solve_coefficients, the forward substitution that no verify case calls,
 must stay the library's independent route: a wrong bracket changes a_i but
-not its solution.  Hashes pin the whole order-20 and order-30 tables.
+not its solution.  Both mass actions must equal their order-zero term plus
+the bracket sums D_j times binom(x, n - j), the second through lowering.
+Hashes pin the whole order-20 and order-30 tables.
 """
 
 import hashlib
@@ -20,6 +22,7 @@ import pytest
 from charlier import diffeq as dq
 from charlier.classical import binom_poly, charlier
 from charlier.cli import main
+from charlier.pointmass import shifted_charlier
 from charlier.polynomials import A, Poly, Var, X, parity_sign
 from reference_routes import reference_binom_poly, reference_charlier, reference_coeff_ai
 from test_mutants import clear_caches
@@ -132,6 +135,27 @@ def test_coefficients_are_built_without_shift_x(monkeypatch):
         clear_caches()
     assert calls == []
     assert table[4] == reference_coeff_ai(5)
+
+
+def bracket_sum_action(n):
+    """S_n = sum_{j=1}^{n} D_j binom(x, n - j) with D_j = _bracket_sum(j)."""
+    return sum((dq._bracket_sum(j) * binom_poly(n - j) for j in range(1, n + 1)), Poly())
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_mass_action_is_order_zero_plus_bracket_sums(n):
+    expected = dq.coeff_a0(n) * charlier(n) + bracket_sum_action(n)
+    assert dq.mass_operator(n, n).apply(charlier(n)) == expected
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_shifted_mass_action_by_lowering(n):
+    # T_0 = 0 and T_n = S_n - T_{n-1}
+    tail = Poly()
+    for m in range(1, n + 1):
+        tail = bracket_sum_action(m) - tail
+    expected = dq.coeff_a0(n) * shifted_charlier(n) + tail
+    assert dq.mass_operator(n, n).apply(shifted_charlier(n)) == expected
 
 
 def test_uniqueness_does_not_read_the_brackets(monkeypatch):

@@ -5,6 +5,7 @@ in a forked child.  Its report must equal the serial run's, and a child that
 fails, sends much, or outlives an interrupted parent must change nothing.
 """
 
+import gc
 import json
 import marshal
 import os
@@ -97,6 +98,38 @@ def test_a_piece_that_raises_fails_its_cases_on_both_paths(forks, capsys, monkey
     finally:
         monkeypatch.undo()
         clear_caches()
+
+
+def open_fds():
+    """The descriptors this process holds, or None where /proc is absent."""
+    fd_dir = Path("/proc/self/fd")
+    return sorted(os.listdir(fd_dir)) if fd_dir.is_dir() else None
+
+
+@pytest.mark.parametrize("call", ["pipe", "fork"])
+def test_a_refused_pipe_or_fork_runs_serially(call, forks, capsys, monkeypatch):
+    argv = ("verify", "--suite", "all", "--n-max", "5", "--i-max", "5")
+
+    def refused(*args):
+        raise OSError(f"no {call}")
+
+    before = open_fds()
+    monkeypatch.setattr(os, call, refused)
+    assert report(argv, capsys) == serial_report(argv, capsys, monkeypatch)
+    assert forks == []
+    assert_no_child_left()
+    assert open_fds() == before
+
+
+def test_a_forked_run_leaves_the_callers_frozen_objects_frozen(forks):
+    sentinel = ["frozen by the caller"]
+    gc.freeze()
+    try:
+        assert run_suite(SuiteSpec("all", 3, 3)).all_passed()
+        assert len(forks) == 1
+        assert not any(obj is sentinel for obj in gc.get_objects())
+    finally:
+        gc.unfreeze()
 
 
 def test_a_child_that_cannot_deliver_is_replaced(forks, capsys, monkeypatch):
