@@ -27,9 +27,9 @@ from functools import cache
 from math import factorial
 from typing import Callable, Iterable, NamedTuple
 
-from .classical import binom_poly, charlier, laguerre
+from .classical import charlier, laguerre
 from .pointmass import shifted_charlier, through_pieces
-from .polynomials import A, N, Poly, Var, X, parity_sign, sum_products
+from .polynomials import A, N, Poly, Var, X, horner_x, parity_sign, sum_products
 
 CoeffProvider = Callable[[int], Poly]
 
@@ -181,18 +181,6 @@ def _bracket(k: int) -> Poly:
 
 
 @cache
-def _reflected_binom(j: int) -> Poly:
-    """binom(1 - x, j), a polynomial in x alone with j + 1 terms.
-
-    Pascal's rule at -x: binom(-x, j) + binom(-x, j - 1), with binom(-x, j)
-    read from binom_poly(j) by negating x.
-    """
-    if j < 1:
-        return binom_poly(j)
-    return binom_poly(j).negate_var(Var.X) + binom_poly(j - 1).negate_var(Var.X)
-
-
-@cache
 def _exp_coeff(m: int) -> Poly:
     """a^m / m!, the t^m coefficient of e^(at)."""
     return Poly({(0, m, 0): Fraction(1, factorial(m))})
@@ -200,8 +188,16 @@ def _exp_coeff(m: int) -> Poly:
 
 @cache
 def _bracket_sum(j: int) -> Poly:
-    """D_j = sum_{k=1}^{j} binom(1 - x, j - k) B_k with B_k = ``_bracket(k)``."""
-    return sum_products((_reflected_binom(j - k), _bracket(k)) for k in range(1, j + 1))
+    """D_j = sum_{k=1}^{j} binom(1 - x, j - k) B_k with B_k = ``_bracket(k)``.
+
+    binom(1 - x, r) = binom(1 - x, r - 1) (2 - r - x) / r, so D_j is the
+    Horner sum B_j + f_1 (B_{j-1} + f_2 (... + f_{j-1} B_1)) with
+    f_r = (2 - r - x) / r: one pass per step and one canonicalization.
+    """
+    return horner_x(
+        [_bracket(k) for k in range(j, 0, -1)],
+        [(Fraction(2 - r, r), Fraction(-1, r)) for r in range(1, j)],
+    )
 
 
 @cache
@@ -212,11 +208,11 @@ def coeff_ai(i: int) -> Poly:
     B_k = ``_bracket(k)`` with the fronts M_j = C_j(1 - x; -a), the t^j
     coefficients of e^(at) (1 + t)^(1-x).  Splitting each front as
     M_j = sum_m (a^m / m!) binom(1 - x, j - m) factors the convolution into
-    sum_{m=0}^{i-1} (a^m / m!) D_{i-m}, where D_j = ``_bracket_sum(j)`` holds
-    the large products, each built once and shared by every order that reads
-    it, and each product here is by a single monomial.  Each B_k comes from
-    B_{k-1} by one two-term recurrence over the lowered piece C_{k-1}(x-2),
-    so no shift_x runs on this route.
+    sum_{m=0}^{i-1} (a^m / m!) D_{i-m}, where D_j = ``_bracket_sum(j)`` is
+    built once and shared by every order that reads it, and each product
+    here is by a single monomial.  Each B_k comes from B_{k-1} by one
+    two-term recurrence over the lowered piece C_{k-1}(x-2), so no shift_x
+    runs on this route.
     """
     if i < 1:
         raise ValueError("order must be >= 1")
@@ -271,6 +267,15 @@ class OperatorActions:
         self._chains: dict[tuple[str, int], DifferenceChain] = {}
         self._mixed: dict[int, list[DifferenceChain]] = {}
         self._actions: dict[tuple[str, str, int], Poly] = {}
+
+    def provider_free(self) -> "OperatorActions":
+        """An instance that reads coeff_ai: this one, or else a new one that
+        shares this one's difference chains, which no provider changes."""
+        if self.ai is coeff_ai:
+            return self
+        exact = OperatorActions()
+        exact._chains = self._chains
+        return exact
 
     def chain(self, argument: str, n: int) -> DifferenceChain:
         """The difference chain of "charlier" C_n(x) or "shifted" C_n(x-1)."""

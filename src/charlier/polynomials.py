@@ -20,6 +20,9 @@ A sum of products is one operation, not a chain of them: ``sum_products``
 accumulates every product over one common denominator, checks the guard bits
 once and puts the result in canonical form once, where ``total + p * q`` in a
 loop would copy the running sum and canonicalize twice per product.
+``horner_x`` does the same for a nested sum P_0 + f_1 (P_1 + ... + f_m P_m)
+with factors f_r linear in x: one pass over the numerators per step, one
+guard check and one canonicalization in all.
 
 The forward difference ``delta`` and backward difference ``nabla`` act on the
 x variable and lower the x-degree by exactly one.  That strict lowering is
@@ -34,7 +37,7 @@ from fractions import Fraction
 from functools import reduce
 from math import comb, gcd, lcm
 from operator import or_
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
 RationalLike = Union[int, Fraction]
@@ -58,6 +61,7 @@ EXPONENT_LIMIT = 1 << (_BITS - 1)
 # Bit offset of each variable's field, indexed by Var.value.
 _SHIFTS = (2 * _BITS, _BITS, 0)
 _SX = _SHIFTS[0]
+_X1 = 1 << _SX  # the key of x
 _LOW = (1 << _SX) - 1  # the a and N fields of a key
 _GUARD = sum(EXPONENT_LIMIT << s for s in _SHIFTS)
 
@@ -445,6 +449,44 @@ def sum_products(pairs: Iterable[tuple["Poly | RationalLike", "Poly | RationalLi
                 out[k] = get(k, 0) + c1 * c2
     if reduce(or_, out) & _GUARD:
         raise ValueError(f"product exponent reaches {EXPONENT_LIMIT}")
+    return Poly._make(out, den)
+
+
+def horner_x(polys: Sequence[Poly], factors: Sequence[tuple[RationalLike, RationalLike]]) -> Poly:
+    """P_0 + f_1 (P_1 + f_2 (... + f_m P_m)) with f_r = c_r + d_r x, where
+    ``polys`` is P_0..P_m and ``factors`` is (c_1, d_1)..(c_m, d_m).
+
+    Each step is one pass over integer numerators: with f_r = (u + v x) / q,
+    the running sum is scaled by u, shifted up one power of x and scaled by
+    v, and P_{r-1} is added over the common denominator.  Every key formed
+    stays until the end, zero or not, and x is the top key field, so the
+    largest key holds the largest x exponent formed: the guard is checked on
+    it once and the result is canonicalized once, by a single ``Poly._make``.
+    """
+    if len(polys) != len(factors) + 1:
+        raise ValueError("horner_x needs one polynomial more than factors")
+    out, den = polys[-1]._terms, polys[-1]._den
+    for p, (c, d) in zip(reversed(polys[:-1]), reversed(factors)):
+        c, d = _rational(c), _rational(d)
+        q = lcm(c.denominator, d.denominator)
+        scaled = den * q
+        total = lcm(scaled, p._den)
+        s = total // scaled
+        u, v = c.numerator * (q // c.denominator) * s, d.numerator * (q // d.denominator) * s
+        sp = total // p._den
+        acc = dict(p._terms) if sp == 1 else {k: n * sp for k, n in p._terms.items()}
+        get = acc.get
+        if v:
+            for k, n in out.items():
+                acc[k] = get(k, 0) + u * n
+                k += _X1
+                acc[k] = get(k, 0) + v * n
+        else:
+            for k, n in out.items():
+                acc[k] = get(k, 0) + u * n
+        out, den = acc, total
+    if out and max(out) >> _SX >= EXPONENT_LIMIT:
+        raise ValueError(f"Horner step exponent reaches {EXPONENT_LIMIT}")
     return Poly._make(out, den)
 
 

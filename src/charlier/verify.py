@@ -234,8 +234,8 @@ def _diffeq_cases(spec: SuiteSpec, coeffs: CoeffProvider | None) -> Iterable[Cas
     # Row i of the unit triangular system that fixes a_1..a_i is the mass
     # action on C_i(x-1), with pivot Delta^i C_i(x-1) = 1.  Once rows 1..i
     # hold at coeff_ai, it is the only solution to order i; a provider's run
-    # reads the rows from a second, provider-free instance.
-    exact = actions if coeffs is None else dq.OperatorActions()
+    # reads the rows from a provider-free instance that shares its chains.
+    exact = actions.provider_free()
     for i in range(1, i_max + 1):
         yield "coeff-structure", (i,), lambda i=i: actions.verify_degree_claims(i)
         yield "leading-x", (i,), lambda i=i: actions.verify_leading_x(i)

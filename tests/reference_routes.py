@@ -5,11 +5,11 @@ These are the straightforward forms that the shared-work layers replaced:
 each operator term builds its own Nabla^m then Delta^d of the argument, an
 inner product forms the full product p*q and reads its x-coefficients off one
 by one, charlier(n) rebuilds every binom(x, k) from k linear factors,
-a_i rebuilds every front and bracket of its convolution, and every
-functional of gen_charlier(n) is taken of gen_charlier(n) itself rather than
-of its two classical pieces.  They are slow and
-obviously right, and the tests require the library routes to match them
-exactly.
+a_i rebuilds every front and bracket of its convolution, a bracket sum
+multiplies out every binomial front, and every functional of gen_charlier(n)
+is taken of gen_charlier(n) itself rather than of its two classical pieces.
+They are slow and obviously right, and the tests require the library routes
+to match them exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from charlier.classical import charlier, charlier_mirror, moment
+from charlier import diffeq
+from charlier.classical import binom_poly, charlier, charlier_mirror, moment
 from charlier.diffeq import (
     CoeffProvider,
     DiffOperator,
@@ -87,6 +88,16 @@ def reference_coeff_ai(i: int) -> Poly:
             Var.X, -2
         ) * ck.shift_x(-1)
         total = total + front * bracket * parity_sign(k)
+    return total
+
+
+def reference_bracket_sum(j: int) -> Poly:
+    """sum_{k=1}^{j} binom(1-x, j-k) B_k, every binom(1-x, r) shifted from
+    binom(-x, r) and multiplied out against the library's bracket B_k."""
+    total = Poly()
+    for k in range(1, j + 1):
+        front = binom_poly(j - k).negate_var(Var.X).shift_x(-1)
+        total = total + front * diffeq._bracket(k)
     return total
 
 

@@ -24,7 +24,12 @@ from charlier.classical import binom_poly, charlier
 from charlier.cli import main
 from charlier.pointmass import shifted_charlier
 from charlier.polynomials import A, Poly, Var, X, parity_sign
-from reference_routes import reference_binom_poly, reference_charlier, reference_coeff_ai
+from reference_routes import (
+    reference_binom_poly,
+    reference_bracket_sum,
+    reference_charlier,
+    reference_coeff_ai,
+)
 from test_mutants import clear_caches
 
 # SHA-256 of `charlier coeffs --max-i 20 --format json` stdout.
@@ -98,9 +103,9 @@ def test_lowered_pieces_are_the_shifted_family(k):
     assert dq._lowered(k, 2) == charlier(k).shift_x(-2)
 
 
-@pytest.mark.parametrize("j", range(31))
-def test_reflected_binom_is_binom_of_one_minus_x(j):
-    assert dq._reflected_binom(j) == binom_poly(j).negate_var(Var.X).shift_x(-1)
+@pytest.mark.parametrize("j", range(1, 31))
+def test_bracket_sum_is_the_direct_convolution(j):
+    assert dq._bracket_sum(j) == reference_bracket_sum(j)
 
 
 def test_lowered_pieces_and_kernel_build_without_recursion():

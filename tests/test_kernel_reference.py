@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charlier import polynomials
-from charlier.polynomials import EXPONENT_LIMIT, A, Poly, Var, X, sum_products
+from charlier.polynomials import EXPONENT_LIMIT, A, Poly, Var, X, horner_x, sum_products
 from reference_poly import RefPoly
 from strategies import coefficients, term_maps
 
@@ -142,3 +142,29 @@ def test_sum_of_products_rejects_exponent_overflow():
     top = Poly({(EXPONENT_LIMIT - 1, 0, 0): 1})
     with pytest.raises(ValueError):
         sum_products([(A, A), (top, X)])
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(pairs, st.tuples(scalars, scalars)), max_size=4), pairs)
+def test_horner_in_x(steps, last):
+    # P_0 + f_1 (P_1 + ... + f_m P_m) with f_r = c_r + d_r x, nested in RefPoly
+    result = horner_x([p for (p, _), _ in steps] + [last[0]], [f for _, f in steps])
+    expected = last[1]
+    for (_, r), (c, d) in reversed(steps):
+        expected = r + (RefPoly.variable(Var.X) * d + c) * expected
+    assert_same(result, expected)
+
+
+def test_horner_rejects_exponent_overflow():
+    top = Poly({(EXPONENT_LIMIT - 1, 0, 0): 1})
+    with pytest.raises(ValueError):
+        horner_x([A, top], [(1, 1)])
+    with pytest.raises(ValueError):
+        horner_x([A, top], [(0, Fraction(-1, 3))])
+    # the step's x^LIMIT term is formed, though it cancels in the next one
+    below = Poly({(EXPONENT_LIMIT - 2, 0, 0): 1})
+    with pytest.raises(ValueError):
+        horner_x([A, -top, below], [(0, 1), (0, 1)])
+    assert horner_x([A, top], [(3, 0)]) == A + 3 * top
+    with pytest.raises(ValueError):
+        horner_x([A], [(1, 1)])

@@ -128,7 +128,7 @@ MUTANTS = [
     ("second-order", "shift_x", (Poly,), wrong_forward_shift),
     ("laguerre", "laguerre", (cl, dq), plus_at(3, A)),
     ("values", "value_at_minus_one", (cl,), plus_at(3, 1)),
-    ("shift", "binom_poly", (cl, dq), plus_at(2, 1)),
+    ("shift", "binom_poly", (cl,), plus_at(2, 1)),
     ("value-difference", "charlier", (cl, pm, dq), plus_at(3, 1)),
     ("inverse-matrix", "charlier_mirror", (cl,), wrong_mirror),
     ("orthogonality", "moment", (cl,), plus_at(4, 1)),

@@ -1,10 +1,10 @@
 """A sum of products is canonicalized once.
 
 With its pieces built, a_i is one ``sum_products`` over monomial multiples
-of the cached bracket sums, and an operator with no backward difference
-applied to a built chain is one ``sum_products`` over its terms: each makes
-exactly one ``Poly._make`` call, where a loop of ``total + p * q`` makes two
-per product.
+of the cached bracket sums, a bracket sum is one ``horner_x`` over the cached
+brackets, and an operator with no backward difference applied to a built
+chain is one ``sum_products`` over its terms: each makes exactly one
+``Poly._make`` call, where a loop of ``total + p * q`` makes two per product.
 """
 
 import pytest
@@ -32,6 +32,14 @@ def test_coefficient_is_one_canonicalization(i, make_calls):
     expected = dq.coeff_ai(i)  # builds (or finds) every piece a_i reads
     make_calls.clear()
     assert dq.coeff_ai.__wrapped__(i) == expected
+    assert len(make_calls) == 1
+
+
+@pytest.mark.parametrize("j", [1, 2, 7, 12, 20])
+def test_bracket_sum_is_one_canonicalization(j, make_calls):
+    expected = dq._bracket_sum(j)  # builds (or finds) every bracket it reads
+    make_calls.clear()
+    assert dq._bracket_sum.__wrapped__(j) == expected
     assert len(make_calls) == 1
 
 

@@ -11,7 +11,7 @@ from charlier import pointmass as pm
 from charlier import verify
 from charlier.cli import main
 from charlier.diffeq import coeff_ai
-from charlier.polynomials import A, N
+from charlier.polynomials import A, N, Poly
 from charlier.verify import SuiteSpec, run_suite
 
 # SHA-256 of the report without its elapsed_ms fields, serialized with
@@ -123,6 +123,20 @@ def test_shared_work_stays_within_one_run():
         expected |= {(tag, (bad,)) for tag in ("coeff-structure", "leading-x", "uniqueness")}
         assert failing == expected, bad
     assert run_suite(spec).all_passed()
+
+
+def test_a_corrupt_run_builds_each_chain_once(monkeypatch):
+    # the uniqueness rows of a provider's run read the provider's chains
+    calls = []
+    real = Poly.delta
+    monkeypatch.setattr(Poly, "delta", lambda self: calls.append(1) or real(self))
+    spec = SuiteSpec("diffeq", 8, 8)
+    counts = []
+    for coeffs, passed in ((None, True), (corrupt(4), False), (None, True)):
+        calls.clear()
+        assert run_suite(spec, coeffs).all_passed() == passed
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2] > 0
 
 
 @pytest.mark.parametrize(
