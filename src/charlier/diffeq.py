@@ -95,17 +95,15 @@ class DiffOperator:
 
         Every term reads one power of the forward chain of y: since
         Nabla = Delta shifted back by one, Delta^d Nabla^m y is
-        (Delta^(d+m) y)(x - m).  Terms whose total order exceeds deg_x(y)
-        contribute exactly zero and are skipped, which is what makes
-        unbounded-order operators act as finite sums on polynomials.
+        (Delta^(d+m) y)(x - m).  The chain gives the zero polynomial for a
+        total order above deg_x(y), and sum_products drops its product, which
+        is what makes unbounded-order operators act as finite sums on
+        polynomials.
         """
         chain = DifferenceChain.of(y)
         pairs = []
         for term in self.terms:
-            order = term.delta_order + term.nabla_order
-            if order > chain.degree:
-                continue
-            z = chain[order]
+            z = chain[term.delta_order + term.nabla_order]
             if term.nabla_order:
                 z = z.shift_x(-term.nabla_order)
             pairs.append((term.coeff, z))

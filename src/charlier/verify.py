@@ -10,7 +10,6 @@ to the timing fields.
 from __future__ import annotations
 
 import functools
-import gc
 import marshal
 import os
 import sys
@@ -304,13 +303,6 @@ def _run_beside(spec: SuiteSpec, coeffs: CoeffProvider | None) -> list[CaseRecor
     unmarshal, this process runs that half itself, so a worker fault never
     drops or falsifies a case.  Returns None if no child could be started.
     """
-    try:
-        # Both halves read charlier(n), shifted_charlier(n) and gen_weights(n),
-        # which gen_charlier(n) builds; only the child reads gen_charlier(n).
-        for n in range(spec.n_max + 1):
-            pm.gen_charlier(n)
-    except Exception:
-        pass  # the cases that read a broken piece record its error
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:
             stream.flush()
@@ -325,10 +317,6 @@ def _run_beside(spec: SuiteSpec, coeffs: CoeffProvider | None) -> list[CaseRecor
     if pid == 0:
         code = 1
         try:
-            # Frozen objects are left out of the child's collections, which
-            # would otherwise write to, and so copy, every inherited page
-            # holding one.  Only the child freezes: the caller's gc is as it was.
-            gc.freeze()
             os.close(read_fd)
             _ship(write_fd, _run_cases(_suite_cases(FORKED_SUITES, spec, coeffs)))
             code = 0

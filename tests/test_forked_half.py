@@ -76,10 +76,10 @@ def test_one_usable_cpu_runs_serially(forks, monkeypatch):
 
 
 def test_a_piece_that_raises_fails_its_cases_on_both_paths(forks, capsys, monkeypatch):
-    # Both halves read charlier(n), shifted_charlier(n) and gen_weights(n), which
-    # the forked path builds through gen_charlier(n) before the fork; only the
-    # child reads gen_charlier(n).  An error there must fail the cases that read
-    # it, as it does serially.
+    # Both halves read charlier(n), shifted_charlier(n) and gen_weights(n), and
+    # each builds them on first use in its own process; only the child reads
+    # gen_charlier(n).  An error there must fail the cases that read it, as it
+    # does serially.
     argv = ("verify", "--suite", "all", "--n-max", "4", "--i-max", "4")
     right = pm.gen_weights
 
@@ -98,6 +98,22 @@ def test_a_piece_that_raises_fails_its_cases_on_both_paths(forks, capsys, monkey
     finally:
         monkeypatch.undo()
         clear_caches()
+
+
+def test_a_forked_runs_caller_builds_nothing_for_the_child(forks, monkeypatch):
+    # Only the child reads gen_charlier(n); a call recorded here was made in
+    # the caller, whose own half never reads it.
+    calls = []
+    right = pm.gen_charlier
+
+    def recorded(n):
+        calls.append(n)
+        return right(n)
+
+    monkeypatch.setattr(pm, "gen_charlier", recorded)
+    assert run_suite(SuiteSpec("all", 4, 4)).all_passed()
+    assert len(forks) == 1
+    assert calls == []
 
 
 def open_fds():
