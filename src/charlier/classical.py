@@ -7,9 +7,10 @@ recurrences used downstream free of special cases.
 
 Alongside the family itself this module carries the helpers everything else
 leans on: the Laguerre polynomials with a symbolic parameter, the moment
-functional of the weight (Stirling-number closed form), and exact checks of
-the classical identities (degree lowering, the second order difference
-equation, the convolution identity, shift expansions, value formulas).
+functional of the weight (Stirling-number closed form) and its rows, exact
+checks of the classical identities (degree lowering, the second order
+difference equation, the convolution identity, shift expansions, value
+formulas), and the one home of the lemmas the fast routes rest on.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .polynomials import A, Poly, RationalLike, Var, X, _rational, parity_sign, sum_products
 
@@ -60,6 +61,20 @@ def charlier(n: int) -> Poly:
         (binom_poly(k), A ** (n - k) * Fraction(parity_sign(n - k), factorial(n - k)))
         for k in range(n + 1)
     )
+
+
+@cache
+def _lowered(k: int, by: int) -> Poly:
+    """C_k(x - by) for by >= 0 with C_k = charlier(k), by lowering.
+
+    Delta C_k = C_{k-1} gives C_k(x - by) = C_k(x - by + 1) - C_{k-1}(x - by),
+    so each piece is one addition of two cached pieces and no shift_x.
+    """
+    if by == 0 or k < 0:
+        return charlier(k)
+    for j in range(k):  # lower indices first, so no call recurses deeper
+        _lowered(j, by)
+    return _lowered(k, by - 1) - _lowered(k - 1, by)
 
 
 def charlier_mirror(n: int) -> Poly:
@@ -222,9 +237,10 @@ def moments_of(q: Poly, size: int) -> list[Poly]:
 
 
 def dot_moments(p: Poly, vector: Sequence[Poly]) -> Poly:
-    """<p, q> from the moment vector of q: sum_j [x^j]p * vector[j]."""
+    """<p, q> from the moment vector of q: sum_j [x^j]p * vector[j].  A zero
+    entry costs one test, with no product and no scan for [x^j]p."""
     return sum_products(
-        (p.coeff_of(Var.X, j), vector[j]) for j in range(p.degree_in(Var.X) + 1)
+        (p.coeff_of(Var.X, j), v) for j in range(p.degree_in(Var.X) + 1) if (v := vector[j])
     )
 
 
@@ -235,9 +251,43 @@ def inner_product_classical(p: Poly, q: Poly) -> Poly:
 
 
 @cache
+def _row(n: int) -> list[Poly]:
+    """The entries of row n built so far; moment_row extends the list."""
+    return []
+
+
+def moment_row(n: int, size: int) -> list[Poly]:
+    """<x^j, charlier(n)> for j < size, from the three-term recurrence.
+
+    n C_n = (x - a - n + 1) C_{n-1} - a C_{n-2} lifts to the rows
+    r_n[j] = (r_{n-1}[j+1] - (a+n-1) r_{n-1}[j] - a r_{n-2}[j]) / n, from
+    r_0[j] = moment(j), so row n to size s reads row n-k to size s + k.  Each
+    row is one list, extended on demand, so an entry is built once and its
+    value does not depend on how far any row reaches.
+    """
+    if n < 0 or size < 0:
+        raise ValueError("row index and size must be >= 0")
+    if len(_row(n)) < size:
+        for k in range(n + 1):  # lower rows first, so no call recurses
+            row, need = _row(k), size + n - k
+            if k == 0:
+                row.extend(moment(j) for j in range(len(row), need))
+                continue
+            above, below = _row(k - 1), _row(k - 2) if k > 1 else None
+            middle, low = (A + (k - 1)) * Fraction(-1, k), A * Fraction(-1, k)
+            for j in range(len(row), need):
+                pairs = [(above[j + 1], Fraction(1, k)), (above[j], middle)]
+                if below is not None:
+                    pairs.append((below[j], low))
+                row.append(sum_products(pairs))
+    return _row(n)[:size]
+
+
+@cache
 def moment_vector(n: int) -> tuple[Poly, ...]:
-    """<x^j, charlier(n)> for j = 0..n."""
-    return tuple(moments_of(charlier(n), n + 1))
+    """<x^j, charlier(n)> for j = 0..n: the first n + 1 entries of row n."""
+    require("row recurrence", n)
+    return tuple(moment_row(n, n + 1))
 
 
 def orthogonality_residual(m: int, n: int) -> Poly:
@@ -248,3 +298,60 @@ def orthogonality_residual(m: int, n: int) -> Poly:
     expected = A**n * Fraction(1, factorial(n)) if m == n else Poly()
     low, high = sorted((m, n))
     return dot_moments(charlier(low), moment_vector(high)) - expected
+
+
+# -- the lemmas the fast routes rest on ---------------------------------------
+
+
+@cache
+def _lowering(k: int) -> bool:
+    """C_k(x+1) = C_k(x) + C_{k-1}(x), that is Delta C_k = C_{k-1}: read
+    through shift_x, not through the Poly.delta the difference chains use."""
+    return charlier(k).shift_x(1) == charlier(k) + charlier(k - 1)
+
+
+@cache
+def _binom_identity(r: int) -> bool:
+    """sum_{m<=r} (a^m / m!) C_{r-m} = binom(x, r): the t^r coefficient of
+    e^(at) G = (1 + t)^x, where G = e^(-at) (1 + t)^x generates the C_n."""
+    terms = ((charlier(r - m), A**m * Fraction(1, factorial(m))) for m in range(r + 1))
+    return sum_products(terms) == binom_poly(r)
+
+
+@cache
+def _row_recurrence(n: int) -> bool:
+    """n C_n = (x - a - n + 1) C_{n-1} - a C_{n-2} for n >= 1, and C_0 = 1."""
+    if n == 0:
+        return charlier(0) == 1
+    lifted = sum_products([(X - A - (n - 1), charlier(n - 1)), (-A, charlier(n - 2))])
+    return charlier(n) * n == lifted
+
+
+def _piece_at_minus_one(k: int) -> bool:
+    """The piece C_k(x-1) every route reads, pointmass.shifted_charlier(k),
+    equals the lowered piece _lowered(k, 1), built from charlier alone.  Not
+    cached: it compares two cached pieces, and the first one's binding may be
+    replaced."""
+    from .pointmass import shifted_charlier  # pointmass imports this module
+
+    return shifted_charlier(k) == _lowered(k, 1)
+
+
+# Each lemma a fast route rests on, by name; every predicate takes one index.
+LEMMAS: dict[str, Callable[[int], bool]] = {
+    "lowering": _lowering,
+    "piece at x-1": _piece_at_minus_one,
+    "binom identity": _binom_identity,
+    "row recurrence": _row_recurrence,
+}
+
+
+def require(lemma: str, k: int) -> None:
+    """Raise ArithmeticError, naming the lemma and k, unless LEMMAS[lemma]
+    holds at index k.
+
+    A route calls this for the index its step reads, inside the case that
+    reads it, so a failed lemma fails that case through the suite runner.
+    """
+    if not LEMMAS[lemma](k):
+        raise ArithmeticError(f"lemma {lemma!r} fails at index {k}")

@@ -9,8 +9,10 @@ not depend on the degree n, and the order-zero coefficient ``a0`` is a
 polynomial in a depending on n only.  For nonzero mass the operator has
 unbounded order, yet it acts exactly on polynomials: terms of total order
 above the x-degree of the argument annihilate it, so every series here is a
-finite sum with no truncation error.  Every operator reads its differences
-from one chain y, Delta y, Delta^2 y, ... of its argument, and
+finite sum with no truncation error.  On a Charlier piece the mass operator
+is a short sum over the bracket sums, by lowering (Delta C_n = C_{n-1}) and
+the other lemmas of ``classical.require``.  Every other operator reads its
+differences from one chain y, Delta y, Delta^2 y, ... of its argument, and
 ``OperatorActions`` builds each chain and each operator action of a verify
 run once for all the identities that read it.
 
@@ -27,7 +29,7 @@ from functools import cache
 from math import factorial
 from typing import Callable, Iterable, NamedTuple
 
-from .classical import charlier, laguerre
+from .classical import _lowered, charlier, laguerre, require
 from .pointmass import shifted_charlier, through_pieces
 from .polynomials import A, N, Poly, Var, X, horner_x, parity_sign, sum_products
 
@@ -144,20 +146,6 @@ def coeff_a0(n: int) -> Poly:
 
 
 @cache
-def _lowered(k: int, by: int) -> Poly:
-    """C_k(x - by) for by >= 0 with C_k = charlier(k), by lowering.
-
-    Delta C_k = C_{k-1} gives C_k(x - by) = C_k(x - by + 1) - C_{k-1}(x - by),
-    so each piece is one addition of two cached pieces and no shift_x.
-    """
-    if by == 0 or k < 0:
-        return charlier(k)
-    for j in range(k):  # lower indices first, so no call recurses deeper
-        _lowered(j, by)
-    return _lowered(k, by - 1) - _lowered(k - 1, by)
-
-
-@cache
 def _bracket(k: int) -> Poly:
     """B_k = (-1)^k [C_k(-1) C_k(x-2) - C_k(-2) C_k(x-1)] with C_k = charlier(k).
 
@@ -168,9 +156,9 @@ def _bracket(k: int) -> Poly:
     """
     if k < 1:
         return Poly()
-    # Built from diffeq's own lowered pieces, not pointmass.shifted_charlier(k):
-    # every a_i with i >= k reads this bracket, so a wrong shared piece would
-    # fail far from its own index.
+    # Built from the lowered pieces, not pointmass.shifted_charlier(k): every
+    # a_i with i >= k reads this bracket, so a wrong shared piece would fail
+    # far from its own index.
     for j in range(1, k):  # lower orders first, so no call recurses deeper
         _bracket(j)
     m = k - 1
@@ -217,6 +205,35 @@ def coeff_ai(i: int) -> Poly:
     return sum_products((_exp_coeff(m), _bracket_sum(i - m)) for m in range(i))
 
 
+@cache
+def _mass_sum(n: int) -> Poly:
+    """S_n = sum_{i=1}^{n} coeff_ai(i) C_{n-i}: with Delta^i C_n = C_{n-i},
+    the mass action on C_n less its order-zero term.
+
+    Since coeff_ai(i) = sum_m (a^m / m!) D_{i-m} and the lemma "binom
+    identity" gives sum_{m<=r} (a^m / m!) C_{r-m} = binom(x, r),
+    S_n = sum_{j=1}^{n} D_j binom(x, n-j) with D_j = ``_bracket_sum(j)``: one
+    Horner sum, as binom(x, r) = binom(x, r-1) (x - r + 1) / r.
+    """
+    if n < 1:
+        return Poly()
+    return horner_x(
+        [_bracket_sum(j) for j in range(n, 0, -1)],
+        [(Fraction(1 - r, r), Fraction(1, r)) for r in range(1, n)],
+    )
+
+
+@cache
+def _shifted_mass_sum(n: int) -> Poly:
+    """T_n = sum_{i=1}^{n} coeff_ai(i) P_{n-i} over the lowered pieces
+    P_k = C_k(x-1) = C_k(x) - C_{k-1}(x-1), so T_n = S_n - T_{n-1}."""
+    if n < 1:
+        return Poly()
+    for m in range(1, n):  # lower degrees first, so no call recurses deeper
+        _shifted_mass_sum(m)
+    return _mass_sum(n) - _shifted_mass_sum(n - 1)
+
+
 class CoeffTable(NamedTuple):
     """Both coefficient families: a0 keyed by degree n, ai keyed by order i."""
 
@@ -242,10 +259,16 @@ def mass_operator(n: int, order: int, coeffs: CoeffProvider = coeff_ai) -> DiffO
 
 # -- operator actions shared within one run ---------------------------------
 
+@cache
+def _at_x_minus_two(k: int) -> Poly:
+    """C_k(x-2), by shift_x: the closed forms read no lowered piece."""
+    return charlier(k).shift_x(-2)
+
+
 def _mass_closed_form(n: int, point: int) -> Poly:
     """(-1)^(n-1) C_n(point) C_{n-1}(x-2)."""
     at_point = charlier(n).substitute(Var.X, point)
-    return at_point * charlier(n - 1).shift_x(-2) * parity_sign(n - 1)
+    return at_point * _at_x_minus_two(n - 1) * parity_sign(n - 1)
 
 
 class OperatorActions:
@@ -257,7 +280,9 @@ class OperatorActions:
     the two pieces of gen_charlier(n) have chains.  This is the one place a
     coefficient provider enters: ``ai`` is ``coeffs``, or ``coeff_ai`` when
     none is given, and every mass operator and coefficient check here reads
-    it, so an instance serves the one run it was made for.
+    it, so an instance serves the one run it was made for.  The mass actions
+    read no chain: they add the provider's departures from coeff_ai to the
+    module's sums S_n and T_n, which every instance shares.
     """
 
     def __init__(self, coeffs: CoeffProvider | None = None) -> None:
@@ -265,6 +290,7 @@ class OperatorActions:
         self._chains: dict[tuple[str, int], DifferenceChain] = {}
         self._mixed: dict[int, list[DifferenceChain]] = {}
         self._actions: dict[tuple[str, str, int], Poly] = {}
+        self._departures: dict[int, Poly] = {}
 
     def provider_free(self) -> "OperatorActions":
         """An instance that reads coeff_ai: this one, or else a new one that
@@ -289,6 +315,38 @@ class OperatorActions:
             chain = self._chains[key] = DifferenceChain(y)
         return chain
 
+    def _departure(self, i: int) -> Poly:
+        """ai(i) - coeff_ai(i): zero unless the provider changes a_i."""
+        departure = self._departures.get(i)
+        if departure is None:
+            departure = self._departures[i] = self.ai(i) - coeff_ai(i)
+        return departure
+
+    def _mass_action(self, argument: str, n: int) -> Poly:
+        """sum_{i=0}^{n} ai Delta^i y at y = C_n ("charlier") or C_n(x-1)
+        ("shifted"): a0(n) y + S_n or T_n, plus sum_i (ai(i) - coeff_ai(i))
+        Delta^i y, which is zero without a provider.
+
+        Delta^i y = C_{n-i} by lowering, or, at x-1, the lowered piece
+        C_{n-i}(x-1) once shifted_charlier(n) is the lowered piece.  Step n
+        reads these lemmas at n and the binom identity of S_n at n-1; the
+        cases of lower degree check the lower indices.
+        """
+        require("lowering", n)
+        if n:
+            require("binom identity", n - 1)
+        if argument == "charlier":
+            y, tail, lowered = charlier(n), _mass_sum(n), charlier
+        elif argument == "shifted":
+            require("piece at x-1", n)
+            y, tail, lowered = shifted_charlier(n), _shifted_mass_sum(n), lambda k: _lowered(k, 1)
+        else:
+            raise ValueError(f"unknown argument {argument!r}")
+        pairs = [(coeff_a0(n), y), (tail, 1)]
+        if self.ai is not coeff_ai:
+            pairs.extend((d, lowered(n - i)) for i in range(1, n + 1) if (d := self._departure(i)))
+        return sum_products(pairs)
+
     def _action(self, operator: str, argument: str, n: int) -> Poly:
         """The "mass" operator sum_{i=0}^{n} ai Delta^i (degree-n a0), the
         "series" classical_series_operator(n) or the "classical"
@@ -301,7 +359,7 @@ class OperatorActions:
                 at = self._action
                 action = through_pieces(n, at(operator, "charlier", n), at(operator, "shifted", n))
             elif operator == "mass":
-                action = mass_operator(n, n, self.ai).apply(self.chain(argument, n))
+                action = self._mass_action(argument, n)
             elif operator == "series":
                 action = classical_series_operator(n).apply(self.chain(argument, n))
             else:
@@ -427,8 +485,8 @@ def shifted_second_order_residual(n: int) -> Poly:
     if n < 1:
         raise ValueError("index must be >= 1")
     cn = charlier(n)
-    lhs = A * cn + (n - A - X) * shifted_charlier(n) + X * cn.shift_x(-2)
-    return lhs + charlier(n - 1).shift_x(-2)
+    lhs = A * cn + (n - A - X) * shifted_charlier(n) + X * _at_x_minus_two(n)
+    return lhs + _at_x_minus_two(n - 1)
 
 
 def verify_shifted_second_order(n: int) -> bool:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .classical import charlier, dot_moments, inner_product_classical, moments_of
+from .classical import charlier, dot_moments, inner_product_classical, moment_row, require
 from .classical import moment_vector as classical_moment_vector
 from .polynomials import N, Poly, Var, parity_sign, sum_products
 
@@ -81,14 +81,40 @@ def inner_product_general(p: Poly, q: Poly) -> Poly:
 
 
 @cache
+def _shifted_row(n: int) -> list[Poly]:
+    """The entries of shifted_moment_row(n, .) built so far."""
+    return []
+
+
+def shifted_moment_row(n: int, size: int) -> list[Poly]:
+    """<x^j, C_n(x-1)> for j < size, with C_n(x-1) the lowered piece.
+
+    The lowered pieces obey C_n(x-1) = C_n(x) - C_{n-1}(x-1), so each entry is
+    one subtraction, s_n[j] = r_n[j] - s_{n-1}[j] over the classical rows r_n
+    of classical.moment_row.  Each row is one list, extended on demand.
+    """
+    if n < 0 or size < 0:
+        raise ValueError("row index and size must be >= 0")
+    if len(_shifted_row(n)) < size:
+        for k in range(n + 1):  # lower rows first, so no call recurses
+            row, classical = _shifted_row(k), moment_row(k, size)
+            lower = _shifted_row(k - 1) if k else None
+            for j in range(len(row), size):
+                row.append(classical[j] - lower[j] if lower is not None else classical[j])
+    return _shifted_row(n)[:size]
+
+
+@cache
 def moment_vector(n: int) -> tuple[Poly, ...]:
     """<x^j, gen_charlier(n)> under the point-mass inner product, j = 0..n.
 
     The classical part is read through_pieces from classical.moment_vector(n)
-    and the moments of C_n(x-1); the mass term N gen_charlier(n)(0) enters
-    entry 0 alone.
+    and the moments of C_n(x-1), which are those of shifted_charlier(n) once
+    the lemma "piece at x-1" holds at n; the mass term N gen_charlier(n)(0)
+    enters entry 0 alone.
     """
-    shifted = moments_of(shifted_charlier(n), n + 1)
+    require("piece at x-1", n)
+    shifted = shifted_moment_row(n, n + 1)
     vector = [through_pieces(n, c, t) for c, t in zip(classical_moment_vector(n), shifted)]
     vector[0] = vector[0] + N * gen_charlier(n).substitute(Var.X, 0)
     return tuple(vector)

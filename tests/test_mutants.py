@@ -17,7 +17,7 @@ from charlier import diffeq as dq
 from charlier import pointmass as pm
 from charlier import verify
 from charlier.cli import main
-from charlier.diffeq import DiffOperator, DifferenceChain
+from charlier.diffeq import DiffOperator
 from charlier.polynomials import A, N, Poly, Var, X
 from charlier.verify import SUITES, SuiteSpec
 
@@ -94,13 +94,6 @@ def with_term(index, item):
     return mutate
 
 
-def wrong_power(right):
-    def power(self, order):
-        return right(self, order) + X if order == 2 and self.degree == 3 else right(self, order)
-
-    return power
-
-
 def wrong_nabla(right):
     return lambda self: right(self) + X**2 if self.degree_in(Var.X) == 3 else right(self)
 
@@ -140,7 +133,7 @@ MUTANTS = [
     ("orthogonality-general", "moment_vector", (pm,), wrong_moment_entry(0, 1)),
     ("difference-equation", "classical_operator", (dq,), with_term(3, (X, 2, 0))),
     ("n-stratification", "coeff_a0", (dq,), plus_at(3, 1)),
-    ("mass-action", "__getitem__", (DifferenceChain,), wrong_power),
+    ("mass-action", "_mass_sum", (dq,), plus_at(3, X)),
     ("mass-action-shifted", "shifted_charlier", (pm, dq), plus_at(3, X)),
     ("mass-action-cross", "_bracket_sum", (dq,), plus_at(3, X * A)),
     ("classical-infinite-order", "classical_series_operator", (dq,), series_plus_identity),
