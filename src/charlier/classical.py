@@ -77,6 +77,12 @@ def _lowered(k: int, by: int) -> Poly:
     return _lowered(k, by - 1) - _lowered(k - 1, by)
 
 
+@cache
+def _exp_coeff(m: int) -> Poly:
+    """a^m / m!, the t^m coefficient of e^(at)."""
+    return Poly({(0, m, 0): Fraction(1, factorial(m))})
+
+
 def charlier_mirror(n: int) -> Poly:
     """charlier(n) with both the parameter a and the argument x negated."""
     return charlier(n).negate_var(Var.A).negate_var(Var.X)
@@ -314,8 +320,7 @@ def _lowering(k: int) -> bool:
 def _binom_identity(r: int) -> bool:
     """sum_{m<=r} (a^m / m!) C_{r-m} = binom(x, r): the t^r coefficient of
     e^(at) G = (1 + t)^x, where G = e^(-at) (1 + t)^x generates the C_n."""
-    terms = ((charlier(r - m), A**m * Fraction(1, factorial(m))) for m in range(r + 1))
-    return sum_products(terms) == binom_poly(r)
+    return sum_products((_exp_coeff(m), charlier(r - m)) for m in range(r + 1)) == binom_poly(r)
 
 
 @cache

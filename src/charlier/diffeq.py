@@ -29,7 +29,7 @@ from functools import cache
 from math import factorial
 from typing import Callable, Iterable, NamedTuple
 
-from .classical import _lowered, charlier, laguerre, require
+from .classical import _exp_coeff, _lowered, charlier, laguerre, require
 from .pointmass import shifted_charlier, through_pieces
 from .polynomials import A, N, Poly, Var, X, horner_x, parity_sign, sum_products
 
@@ -164,12 +164,6 @@ def _bracket(k: int) -> Poly:
     m = k - 1
     at_minus_two = charlier(m).substitute(Var.X, -2) * Fraction(parity_sign(k), k)
     return sum_products([(A * Fraction(-1, k), _bracket(m)), (X * at_minus_two, _lowered(m, 2))])
-
-
-@cache
-def _exp_coeff(m: int) -> Poly:
-    """a^m / m!, the t^m coefficient of e^(at)."""
-    return Poly({(0, m, 0): Fraction(1, factorial(m))})
 
 
 @cache
