@@ -10,8 +10,8 @@ polynomial in a depending on n only.  For nonzero mass the operator has
 unbounded order, yet it acts exactly on polynomials: terms of total order
 above the x-degree of the argument annihilate it, so every series here is a
 finite sum with no truncation error.  On a Charlier piece the mass operator
-is a short sum over the bracket sums, by lowering (Delta C_n = C_{n-1}) and
-the other lemmas of ``classical.require``.  Every other operator reads its
+is a short sum over the a_i, by lowering (Delta C_n = C_{n-1}) and the
+other lemmas of ``classical.require``.  Every other operator reads its
 differences from one chain y, Delta y, Delta^2 y, ... of its argument, and
 ``OperatorActions`` builds each chain and each operator action of a verify
 run once for all the identities that read it.
@@ -190,9 +190,8 @@ def coeff_ai(i: int) -> Poly:
     M_j = sum_m (a^m / m!) binom(1 - x, j - m) factors the convolution into
     sum_{m=0}^{i-1} (a^m / m!) D_{i-m}, where D_j = ``_bracket_sum(j)`` is
     built once and shared by every order that reads it, and each product
-    here is by a single monomial.  Each B_k comes from B_{k-1} by one
-    two-term recurrence over the lowered piece C_{k-1}(x-2), so no shift_x
-    runs on this route.
+    here is by a single monomial.  The tables, the coefficient checks and
+    the mass sums (``_series_sum``) all read this one route.
     """
     if i < 1:
         raise ValueError("order must be >= 1")
@@ -200,19 +199,25 @@ def coeff_ai(i: int) -> Poly:
 
 
 @cache
+def _series_sum(j: int) -> Poly:
+    """D'_j = sum_{m<j} ((-a)^m / m!) coeff_ai(j - m), equal to ``_bracket_sum(j)``."""
+    return sum_products((_exp_coeff(m) * parity_sign(m), coeff_ai(j - m)) for m in range(j))
+
+
+@cache
 def _mass_sum(n: int) -> Poly:
     """S_n = sum_{i=1}^{n} coeff_ai(i) C_{n-i}: with Delta^i C_n = C_{n-i},
     the mass action on C_n less its order-zero term.
 
-    Since coeff_ai(i) = sum_m (a^m / m!) D_{i-m} and the lemma "binom
-    identity" gives sum_{m<=r} (a^m / m!) C_{r-m} = binom(x, r),
-    S_n = sum_{j=1}^{n} D_j binom(x, n-j) with D_j = ``_bracket_sum(j)``: one
+    The lemma "binom identity" at r < n, sum_{m<=r} (a^m / m!) C_{r-m} =
+    binom(x, r), inverts to C_r = sum_m ((-a)^m / m!) binom(x, r-m), so S_n
+    is sum_{j=1}^{n} D'_j binom(x, n-j) over D'_j = ``_series_sum(j)``, one
     Horner sum, as binom(x, r) = binom(x, r-1) (x - r + 1) / r.
     """
     if n < 1:
         return Poly()
     return horner_x(
-        [_bracket_sum(j) for j in range(n, 0, -1)],
+        [_series_sum(j) for j in range(n, 0, -1)],
         [(Fraction(1 - r, r), Fraction(1, r)) for r in range(1, n)],
     )
 
@@ -276,7 +281,7 @@ class OperatorActions:
     none is given, and every mass operator and coefficient check here reads
     it, so an instance serves the one run it was made for.  The mass actions
     read no chain: they add the provider's departures from coeff_ai to the
-    module's sums S_n and T_n, which every instance shares.
+    module's sums S_n and T_n, built from coeff_ai and shared by every instance.
     """
 
     def __init__(self, coeffs: CoeffProvider | None = None) -> None:
@@ -285,15 +290,6 @@ class OperatorActions:
         self._mixed: dict[int, list[DifferenceChain]] = {}
         self._actions: dict[tuple[str, str, int], Poly] = {}
         self._departures: dict[int, Poly] = {}
-
-    def provider_free(self) -> "OperatorActions":
-        """An instance that reads coeff_ai: this one, or else a new one that
-        shares this one's difference chains, which no provider changes."""
-        if self.ai is coeff_ai:
-            return self
-        exact = OperatorActions()
-        exact._chains = self._chains
-        return exact
 
     def chain(self, argument: str, n: int) -> DifferenceChain:
         """The difference chain of "charlier" C_n(x) or "shifted" C_n(x-1)."""

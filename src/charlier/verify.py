@@ -230,16 +230,15 @@ def _diffeq_cases(spec: SuiteSpec, coeffs: CoeffProvider | None) -> Iterable[Cas
         yield "shifted-second-order", (n,), lambda n=n: dq.shifted_second_order_residual(n)
     for n in range(min(n_max, 10) + 1):
         yield "backshift", (n,), lambda n=n: dq.backshift_residual(actions.chain("charlier", n))
-    # Row i of the unit triangular system that fixes a_1..a_i is the mass
-    # action on C_i(x-1), with pivot Delta^i C_i(x-1) = 1.  Once rows 1..i
-    # hold at coeff_ai, it is the only solution to order i; a provider's run
-    # reads the rows from a provider-free instance that shares its chains.
-    exact = actions.provider_free()
+    # Row i of the unit triangular system for a_1..a_i is the mass action on
+    # C_i(x-1), pivot Delta^i C_i(x-1) = 1: rows 1..i at coeff_ai make it the
+    # only solution.  A provider's run reads the rows from a plain instance.
+    exact = actions if coeffs is None else dq.OperatorActions()
     for i in range(1, i_max + 1):
         yield "coeff-structure", (i,), lambda i=i: actions.verify_degree_claims(i)
         yield "leading-x", (i,), lambda i=i: actions.verify_leading_x(i)
         yield "uniqueness", (i,), lambda i=i: (
-            exact.chain("shifted", i)[i] - 1
+            actions.chain("shifted", i)[i] - 1
             or exact.mass_action_shifted_residual(i)
             or exact.ai(i) - actions.ai(i)
         )

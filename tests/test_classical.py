@@ -18,6 +18,7 @@ from charlier.classical import (
     orthogonality_residual,
     second_order_residual,
     stirling2,
+    stirling2_row,
     value_at_minus_one,
     value_at_zero,
     verify_inverse_matrix,
@@ -178,6 +179,19 @@ class TestMoments:
         for k in range(11):
             expected = Poly({(0, j, 0): recursive(k, j) for j in range(k + 1)})
             assert moment(k) == expected
+
+    def test_stirling_rows_in_any_order_are_fresh_copies(self):
+        def from_row_zero(k: int) -> list[int]:
+            row = [1]
+            for _ in range(k):
+                row = [j * s + t for j, (s, t) in enumerate(zip(row + [0], [0] + row))]
+            return row
+
+        for k in [*range(62), 5, 0, 70, 3, -1]:
+            row = stirling2_row(k)
+            assert row == from_row_zero(k)
+            row[-1] += 1
+            assert stirling2_row(k) == from_row_zero(k)
 
     def test_high_moment_without_recursion(self):
         # Bypass the cache so the whole Stirling row is built from scratch.

@@ -16,6 +16,7 @@ Hashes pin the whole order-20 and order-30 tables.
 import hashlib
 import inspect
 import sys
+from math import factorial
 
 import pytest
 
@@ -106,6 +107,13 @@ def test_lowered_pieces_are_the_shifted_family(k):
 @pytest.mark.parametrize("j", range(1, 31))
 def test_bracket_sum_is_the_direct_convolution(j):
     assert dq._bracket_sum(j) == reference_bracket_sum(j)
+
+
+@pytest.mark.parametrize("j", range(1, 31))
+def test_coefficients_are_e_to_the_at_times_the_bracket_sums(j):
+    # D'_j = sum_{m<j} ((-a)^m / m!) a_{j-m}, the sums the mass actions read
+    direct = sum((dq.coeff_ai(j - m) * (-A) ** m / factorial(m) for m in range(j)), Poly())
+    assert dq._series_sum(j).terms() == direct.terms() == dq._bracket_sum(j).terms()
 
 
 def test_lowered_pieces_and_kernel_build_without_recursion():

@@ -1,6 +1,6 @@
-"""The routes that rest on lemmas: the mass actions through the bracket sums,
-the moment vectors through the three-term recurrence, and the one home of the
-lemmas they read.
+"""The routes that rest on lemmas: the mass actions through the series of the
+printed a_i, the moment vectors through the three-term recurrence, and the one
+home of the lemmas they read.
 
 Each route must equal the direct one exactly, a row must not depend on how
 far any row was built, and a broken lemma must fail the cases that read it at
@@ -18,6 +18,7 @@ from charlier import diffeq as dq
 from charlier import pointmass as pm
 from charlier.cli import main
 from charlier.diffeq import DifferenceChain, OperatorActions, coeff_ai, mass_operator
+from charlier.polynomials import A, X
 from charlier.verify import SuiteSpec, run_suite
 from test_mutants import clear_caches
 
@@ -116,6 +117,23 @@ def test_a_broken_lemma_fails_only_the_cases_of_its_index(lemma, index, degree, 
     assert all(c.indices[-1] == degree for c in failed)
     assert {c.residual for c in failed} == {f"error: lemma {lemma!r} fails at index {index}"}
     assert run_suite(spec).all_passed()
+
+
+def test_a_wrong_printed_coefficient_fails_every_mass_reader(capsys, monkeypatch):
+    # x a added to the a_3 that coeffs prints reaches S_n and T_n at n >= 3,
+    # so every case that reads a mass action fails at those degrees.
+    right = dq.coeff_ai
+    clear_caches()
+    try:
+        monkeypatch.setattr(dq, "coeff_ai", lambda i: right(i) + X * A if i == 3 else right(i))
+        code = main(["verify", "--suite", "all", "--n-max", "5", "--i-max", "5"])
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    failed = {(c["identity"], *c["indices"]) for c in json.loads(capsys.readouterr().out)["cases"]
+              if c["status"] == "fail"}
+    assert code == 1
+    assert failed == {(tag, n) for tag in MASS_READERS for n in range(3, 6)}
 
 
 def test_a_corrupt_run_builds_each_exact_sum_once(capsys):

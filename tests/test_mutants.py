@@ -134,6 +134,8 @@ MUTANTS = [
     ("difference-equation", "classical_operator", (dq,), with_term(3, (X, 2, 0))),
     ("n-stratification", "coeff_a0", (dq,), plus_at(3, 1)),
     ("mass-action", "_mass_sum", (dq,), plus_at(3, X)),
+    # the table coeffs prints: the mass sums must read it, not a second route
+    ("mass-action", "coeff_ai", (dq,), plus_at(3, X * A)),
     ("mass-action-shifted", "shifted_charlier", (pm, dq), plus_at(3, X)),
     ("mass-action-cross", "_bracket_sum", (dq,), plus_at(3, X * A)),
     ("classical-infinite-order", "classical_series_operator", (dq,), series_plus_identity),
@@ -149,6 +151,11 @@ MUTANTS = [
 ]
 
 
+# A tag's first entry is named by the tag, a later one by the tag and its input.
+MUTANT_IDS = [tag if all(m[0] != tag for m in MUTANTS[:k]) else f"{tag}-{name}"
+              for k, (tag, name, _, _) in enumerate(MUTANTS)]
+
+
 def clear_caches():
     for module in (cl, pm, dq):
         for value in vars(module).values():
@@ -156,7 +163,7 @@ def clear_caches():
                 value.cache_clear()
 
 
-@pytest.mark.parametrize("tag,name,modules,mutate", MUTANTS, ids=[m[0] for m in MUTANTS])
+@pytest.mark.parametrize("tag,name,modules,mutate", MUTANTS, ids=MUTANT_IDS)
 def test_mutant_fails_its_tag_in_the_forked_half(tag, name, modules, mutate, forks, capsys,
                                                  monkeypatch):
     received = []
@@ -190,7 +197,7 @@ def test_every_tag_has_a_mutant():
     assert tags == {m[0] for m in MUTANTS}
 
 
-@pytest.mark.parametrize("tag,name,modules,mutate", MUTANTS, ids=[m[0] for m in MUTANTS])
+@pytest.mark.parametrize("tag,name,modules,mutate", MUTANTS, ids=MUTANT_IDS)
 def test_mutant_patches_every_binding(tag, name, modules, mutate):
     # A binding left unpatched would let the certificates read the right input.
     right = getattr(modules[0], name)
