@@ -16,7 +16,7 @@ formulas), and the one home of the lemmas the fast routes rest on.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import factorial
 from typing import Callable, Sequence
 
@@ -42,8 +42,11 @@ def binom_poly(k: int) -> Poly:
     return basis[k]
 
 
+# Typed caches, here and in charlier_at: a float never reads the entry of an
+# equal int or Fraction, so it still reaches substitute and raises TypeError.
+@lru_cache(maxsize=None, typed=True)
 def binom_rational(p: RationalLike, k: int) -> Fraction:
-    """binom(p, k) for arbitrary rational p: binom_poly(k) at x = p."""
+    """binom(p, k) for arbitrary rational p: binom_poly(k) at x = p, once per (p, k)."""
     return binom_poly(k).substitute(Var.X, p).constant_value()
 
 
@@ -61,6 +64,13 @@ def charlier(n: int) -> Poly:
         (binom_poly(k), A ** (n - k) * Fraction(parity_sign(n - k), factorial(n - k)))
         for k in range(n + 1)
     )
+
+
+@lru_cache(maxsize=None, typed=True)
+def charlier_at(n: int, point: RationalLike) -> Poly:
+    """C_n(point), charlier(n) at x = point: a polynomial in a, built once per
+    (n, point).  The one place a member of the family is evaluated in x."""
+    return charlier(n).substitute(Var.X, point)
 
 
 @cache
@@ -190,19 +200,14 @@ def verify_inverse_matrix(n: int) -> bool:
 
 def verify_value_formulas(n: int) -> bool:
     """Substitution into charlier(n) reproduces both closed-form values."""
-    cn = charlier(n)
-    return cn.substitute(Var.X, 0) == value_at_zero(n) and cn.substitute(
-        Var.X, -1
-    ) == value_at_minus_one(n)
+    return charlier_at(n, 0) == value_at_zero(n) and charlier_at(n, -1) == value_at_minus_one(n)
 
 
 def verify_value_difference(n: int) -> bool:
     """C_n(0) - C_n(-1) equals C_{n-1}(-1), as polynomials in a."""
     if n < 1:
         raise ValueError("index must be >= 1")
-    cn = charlier(n)
-    lhs = cn.substitute(Var.X, 0) - cn.substitute(Var.X, -1)
-    return lhs == charlier(n - 1).substitute(Var.X, -1)
+    return charlier_at(n, 0) - charlier_at(n, -1) == charlier_at(n - 1, -1)
 
 
 # -- the moment functional ---------------------------------------------------

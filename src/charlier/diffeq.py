@@ -29,7 +29,7 @@ from functools import cache
 from math import factorial
 from typing import Callable, Iterable, NamedTuple
 
-from .classical import _exp_coeff, _lowered, charlier, laguerre, require
+from .classical import _exp_coeff, _lowered, charlier, charlier_at, laguerre, require
 from .pointmass import shifted_charlier, through_pieces
 from .polynomials import A, N, Poly, Var, X, horner_x, parity_sign, sum_products
 
@@ -142,7 +142,7 @@ def coeff_a0(n: int) -> Poly:
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
-    return charlier(n - 1).substitute(Var.X, -2) * parity_sign(n - 1)
+    return charlier_at(n - 1, -2) * parity_sign(n - 1)
 
 
 @cache
@@ -162,7 +162,7 @@ def _bracket(k: int) -> Poly:
     for j in range(1, k):  # lower orders first, so no call recurses deeper
         _bracket(j)
     m = k - 1
-    at_minus_two = charlier(m).substitute(Var.X, -2) * Fraction(parity_sign(k), k)
+    at_minus_two = charlier_at(m, -2) * Fraction(parity_sign(k), k)
     return sum_products([(A * Fraction(-1, k), _bracket(m)), (X * at_minus_two, _lowered(m, 2))])
 
 
@@ -266,8 +266,7 @@ def _at_x_minus_two(k: int) -> Poly:
 
 def _mass_closed_form(n: int, point: int) -> Poly:
     """(-1)^(n-1) C_n(point) C_{n-1}(x-2)."""
-    at_point = charlier(n).substitute(Var.X, point)
-    return at_point * _at_x_minus_two(n - 1) * parity_sign(n - 1)
+    return charlier_at(n, point) * _at_x_minus_two(n - 1) * parity_sign(n - 1)
 
 
 class OperatorActions:
@@ -371,9 +370,8 @@ class OperatorActions:
         return self.mass("shifted", n) - _mass_closed_form(n, -1)
 
     def mass_action_cross_residual(self, n: int) -> Poly:
-        cn = charlier(n)
         at_x, at_shifted = self.mass("charlier", n), self.mass("shifted", n)
-        return cn.substitute(Var.X, -1) * at_x - cn.substitute(Var.X, 0) * at_shifted
+        return charlier_at(n, -1) * at_x - charlier_at(n, 0) * at_shifted
 
     def classical_infinite_order_residual(self, n: int) -> Poly:
         if n < 0:
@@ -495,9 +493,7 @@ def leading_x_closed_form(i: int) -> Poly:
     """(-1)^i / i! times charlier(i-1) evaluated at x = i - 2."""
     if i < 1:
         raise ValueError("order must be >= 1")
-    return charlier(i - 1).substitute(Var.X, i - 2) * Fraction(
-        parity_sign(i), factorial(i)
-    )
+    return charlier_at(i - 1, i - 2) * Fraction(parity_sign(i), factorial(i))
 
 
 def leading_x_laguerre_form(i: int) -> Poly:

@@ -13,8 +13,8 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .classical import charlier, dot_moments, inner_product_classical, moment_row, require
-from .classical import moment_vector as classical_moment_vector
+from .classical import charlier, charlier_at, dot_moments, inner_product_classical, moment_row
+from .classical import moment_vector as classical_moment_vector, require
 from .polynomials import N, Poly, Var, parity_sign, sum_products
 
 
@@ -29,9 +29,8 @@ def gen_weights(n: int) -> tuple[Poly, Poly]:
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
-    cn = charlier(n)
     s = parity_sign(n)
-    return 1 + N * cn.substitute(Var.X, -1) * s, N * cn.substitute(Var.X, 0) * s
+    return 1 + N * charlier_at(n, -1) * s, N * charlier_at(n, 0) * s
 
 
 @cache
@@ -64,10 +63,9 @@ def alternative_form_residual(n: int) -> Poly:
     shifted polynomial; must agree with the direct construction."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    cn = charlier(n)
     s = parity_sign(n)
-    scale = 1 - N * charlier(n - 1).substitute(Var.X, -1) * s
-    alt = scale * cn + N * cn.substitute(Var.X, 0) * s * shifted_charlier(n).delta()
+    scale = 1 - N * charlier_at(n - 1, -1) * s
+    alt = scale * charlier(n) + N * charlier_at(n, 0) * s * shifted_charlier(n).delta()
     return alt - gen_charlier(n)
 
 
@@ -148,11 +146,8 @@ def verify_construction_steps(n: int) -> bool:
         if moments[j + 1]:
             return False
     if n >= 1:
-        cn = charlier(n)
         scale, offset = gen_weights(n)
-        at_zero = cn.substitute(Var.X, 0)
-        at_minus_one = cn.substitute(Var.X, -1)
-        if N * scale * at_zero - (parity_sign(n) + N * at_minus_one) * offset:
+        if N * scale * charlier_at(n, 0) - (parity_sign(n) + N * charlier_at(n, -1)) * offset:
             return False
     return True
 

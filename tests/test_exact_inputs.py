@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from charlier.classical import binom_rational, laguerre, shift_identity_residual
+from charlier.classical import binom_rational, charlier_at, laguerre, shift_identity_residual
 from charlier.polynomials import Poly, Var, X, sum_products
 
 ENTRY_POINTS = {
@@ -28,6 +28,7 @@ ENTRY_POINTS = {
     "rsub": lambda v: v - X,
     "truediv": lambda v: X / v,
     "binom_rational": lambda v: binom_rational(v, 2),
+    "charlier_at": lambda v: charlier_at(2, v),
     "laguerre_alpha": lambda v: laguerre(2, v, Var.A),
     "shift_identity_residual": lambda v: shift_identity_residual(2, v),
     "sum_products": lambda v: sum_products([(X, X), (X, v)]),
@@ -45,6 +46,13 @@ def test_float_is_a_type_error(name, value):
 @pytest.mark.parametrize("value", [2, Fraction(1, 2)])
 def test_exact_numbers_are_accepted(name, value):
     ENTRY_POINTS[name](value)
+
+
+@pytest.mark.parametrize("name", ["binom_rational", "charlier_at"])
+def test_a_cached_value_is_not_read_by_an_equal_float(name):
+    ENTRY_POINTS[name](2)
+    with pytest.raises(TypeError):
+        ENTRY_POINTS[name](2.0)
 
 
 def test_exact_values_are_unchanged():
