@@ -24,7 +24,7 @@ from .classical import charlier, moment
 from .diffeq import CoeffTable, build_coeff_table, coeff_ai
 from .pointmass import gen_charlier
 from .polynomials import Poly, Var
-from .verify import SuiteSpec, run_suite
+from .verify import SUITES, SuiteSpec, run_suite
 from .version import __version__
 
 # Largest index any argument takes.  At this bound the slowest command,
@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument(
         "--suite",
-        choices=("classical", "generalized", "diffeq", "all"),
+        choices=(*SUITES, "all"),
         default="all",
     )
     p_verify.add_argument("--n-max", type=_index(0), default=12, metavar="N")

@@ -264,6 +264,16 @@ def _at_x_minus_two(k: int) -> Poly:
     return charlier(k).shift_x(-2)
 
 
+def _piece(argument: str, n: int) -> tuple[Poly, int]:
+    """(y, by) for the piece y = C_n(x - by) of gen_charlier(n) named
+    "charlier" (by = 0) or "shifted" (by = 1)."""
+    if argument == "charlier":
+        return charlier(n), 0
+    if argument == "shifted":
+        return shifted_charlier(n), 1
+    raise ValueError(f"unknown argument {argument!r}")
+
+
 def _mass_closed_form(n: int, point: int) -> Poly:
     """(-1)^(n-1) C_n(point) C_{n-1}(x-2)."""
     return charlier_at(n, point) * _at_x_minus_two(n - 1) * parity_sign(n - 1)
@@ -285,76 +295,50 @@ class OperatorActions:
 
     def __init__(self, coeffs: CoeffProvider | None = None) -> None:
         self.ai: CoeffProvider = coeff_ai if coeffs is None else coeffs
-        self._chains: dict[tuple[str, int], DifferenceChain] = {}
         self._mixed: dict[int, list[DifferenceChain]] = {}
-        self._actions: dict[tuple[str, str, int], Poly] = {}
-        self._departures: dict[int, Poly] = {}
-
-    def chain(self, argument: str, n: int) -> DifferenceChain:
-        """The difference chain of "charlier" C_n(x) or "shifted" C_n(x-1)."""
-        key = (argument, n)
-        chain = self._chains.get(key)
-        if chain is None:
-            if argument == "charlier":
-                y = charlier(n)
-            elif argument == "shifted":
-                y = shifted_charlier(n)
-            else:
-                raise ValueError(f"unknown argument {argument!r}")
-            chain = self._chains[key] = DifferenceChain(y)
-        return chain
-
-    def _departure(self, i: int) -> Poly:
-        """ai(i) - coeff_ai(i): zero unless the provider changes a_i."""
-        departure = self._departures.get(i)
-        if departure is None:
-            departure = self._departures[i] = self.ai(i) - coeff_ai(i)
-        return departure
+        # Memos of this instance alone, so no run reads another's chains:
+        # chain(argument, n) is the difference chain of the piece _piece names.
+        self.chain: Callable[[str, int], DifferenceChain] = cache(
+            lambda argument, n: DifferenceChain(_piece(argument, n)[0])
+        )
+        self._action: Callable[[str, str, int], Poly] = cache(self._build_action)
+        # ai(i) - coeff_ai(i): zero unless the provider changes a_i.
+        self._departure: CoeffProvider = cache(lambda i: self.ai(i) - coeff_ai(i))
 
     def _mass_action(self, argument: str, n: int) -> Poly:
         """sum_{i=0}^{n} ai Delta^i y at y = C_n ("charlier") or C_n(x-1)
         ("shifted"): a0(n) y + S_n or T_n, plus sum_i (ai(i) - coeff_ai(i))
         Delta^i y, which is zero without a provider.
 
-        Delta^i y = C_{n-i} by lowering, or, at x-1, the lowered piece
-        C_{n-i}(x-1) once shifted_charlier(n) is the lowered piece.  Step n
-        reads these lemmas at n and the binom identity of S_n at n-1; the
-        cases of lower degree check the lower indices.
+        Delta^i y = C_{n-i}(x - by) by lowering, once shifted_charlier(n) is
+        the lowered piece at by = 1.  Step n reads these lemmas at n and the
+        binom identity of S_n at n-1; the cases of lower degree check the
+        lower indices.
         """
+        y, by = _piece(argument, n)
         require("lowering", n)
         if n:
             require("binom identity", n - 1)
-        if argument == "charlier":
-            y, tail, lowered = charlier(n), _mass_sum(n), charlier
-        elif argument == "shifted":
+        if by:
             require("piece at x-1", n)
-            y, tail, lowered = shifted_charlier(n), _shifted_mass_sum(n), lambda k: _lowered(k, 1)
-        else:
-            raise ValueError(f"unknown argument {argument!r}")
-        pairs = [(coeff_a0(n), y), (tail, 1)]
+        pairs = [(coeff_a0(n), y), ((_shifted_mass_sum if by else _mass_sum)(n), 1)]
         if self.ai is not coeff_ai:
-            pairs.extend((d, lowered(n - i)) for i in range(1, n + 1) if (d := self._departure(i)))
+            pairs.extend((d, _lowered(n - i, by)) for i in range(1, n + 1) if (d := self._departure(i)))
         return sum_products(pairs)
 
-    def _action(self, operator: str, argument: str, n: int) -> Poly:
+    def _build_action(self, operator: str, argument: str, n: int) -> Poly:
         """The "mass" operator sum_{i=0}^{n} ai Delta^i (degree-n a0), the
         "series" classical_series_operator(n) or the "classical"
         classical_operator(n) applied to a piece, exact as deg_x is n; every
         operator is linear, so at gen_charlier(n) it is read through_pieces."""
-        key = (operator, argument, n)
-        action = self._actions.get(key)
-        if action is None:
-            if argument == "generalized":
-                at = self._action
-                action = through_pieces(n, at(operator, "charlier", n), at(operator, "shifted", n))
-            elif operator == "mass":
-                action = self._mass_action(argument, n)
-            elif operator == "series":
-                action = classical_series_operator(n).apply(self.chain(argument, n))
-            else:
-                action = classical_operator(n).apply(self.chain(argument, n))
-            self._actions[key] = action
-        return action
+        if argument == "generalized":
+            at = self._action
+            return through_pieces(n, at(operator, "charlier", n), at(operator, "shifted", n))
+        if operator == "mass":
+            return self._mass_action(argument, n)
+        if operator == "series":
+            return classical_series_operator(n).apply(self.chain(argument, n))
+        return classical_operator(n).apply(self.chain(argument, n))
 
     def mass(self, argument: str, n: int) -> Poly:
         return self._action("mass", argument, n)

@@ -171,7 +171,8 @@ def _classical_cases(spec: SuiteSpec) -> Iterable[Case]:
         for j in range(i + 1):
             yield "convolution", (i, j), lambda i=i, j=j: by_distance(i - j)
     for n in range(1, min(n_max, 6) + 1):
-        yield "inverse-matrix", (n,), lambda n=n: cl.verify_inverse_matrix(n)
+        # cl.verify_inverse_matrix(n), read from the run's sums by distance
+        yield "inverse-matrix", (n,), lambda n=n: all(not by_distance(m) for m in range(n))
     for m in range(n_max + 1):
         for n in range(m, n_max + 1):
             yield "orthogonality", (m, n), lambda m=m, n=n: cl.orthogonality_residual(m, n)
@@ -240,7 +241,7 @@ def _diffeq_cases(spec: SuiteSpec, coeffs: CoeffProvider | None) -> Iterable[Cas
         yield "uniqueness", (i,), lambda i=i: (
             actions.chain("shifted", i)[i] - 1
             or exact.mass_action_shifted_residual(i)
-            or exact.ai(i) - actions.ai(i)
+            or dq.coeff_ai(i) - actions.ai(i)
         )
     for i in range(1, i_max):
         yield "degree-escalation", (i,), lambda i=i: actions.verify_degree_escalation(i)

@@ -83,6 +83,42 @@ def test_no_chain_is_built_of_a_point_mass_member(n, monkeypatch):
         actions.chain("generalized", n)
 
 
+@pytest.mark.parametrize("provider", sorted(PROVIDERS))
+def test_an_instance_keeps_its_chains_and_actions(provider):
+    actions, other = OperatorActions(PROVIDERS[provider]), OperatorActions(PROVIDERS[provider])
+    for argument in ("charlier", "shifted"):
+        chain = actions.chain(argument, 4)
+        assert actions.chain(argument, 4) is chain
+        assert other.chain(argument, 4) is not chain
+        assert other.chain(argument, 4)[2] == chain[2]
+    for operator in ("mass", "series", "classical"):
+        for argument in ("charlier", "shifted", "generalized"):
+            action = actions._action(operator, argument, 4)
+            assert actions._action(operator, argument, 4) is action
+            assert other._action(operator, argument, 4) is not action
+            assert other._action(operator, argument, 4) == action
+    assert actions.mass("generalized", 4) is actions._action("mass", "generalized", 4)
+    departure = actions._departure(3)
+    assert actions._departure(3) is departure
+    assert other._departure(3) is not departure
+
+
+UNKNOWN_PIECE_READS = {
+    "chain": lambda actions: actions.chain("mirror", 3),
+    "mass": lambda actions: actions.mass("mirror", 3),
+    "series": lambda actions: actions._action("series", "mirror", 3),
+    "classical": lambda actions: actions._action("classical", "mirror", 3),
+}
+
+
+@pytest.mark.parametrize("read", sorted(UNKNOWN_PIECE_READS))
+def test_an_unknown_piece_is_named_in_the_error(read):
+    actions = OperatorActions(negated_a3)
+    for _ in range(2):  # a raise is never memoized
+        with pytest.raises(ValueError, match="unknown argument"):
+            UNKNOWN_PIECE_READS[read](actions)
+
+
 def test_diffeq_reads_only_the_pieces():
     assert not hasattr(dq, "gen_charlier")
     assert not hasattr(dq, "gen_weights")
