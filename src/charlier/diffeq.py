@@ -295,11 +295,15 @@ class OperatorActions:
 
     def __init__(self, coeffs: CoeffProvider | None = None) -> None:
         self.ai: CoeffProvider = coeff_ai if coeffs is None else coeffs
-        self._mixed: dict[int, list[DifferenceChain]] = {}
         # Memos of this instance alone, so no run reads another's chains:
         # chain(argument, n) is the difference chain of the piece _piece names.
         self.chain: Callable[[str, int], DifferenceChain] = cache(
             lambda argument, n: DifferenceChain(_piece(argument, n)[0])
+        )
+        # _nabla_chain(n, m) is the chain of Nabla^m charlier(n), from the (m-1)-chain's.
+        self._nabla_chain: Callable[[int, int], DifferenceChain] = cache(
+            lambda n, m: DifferenceChain(self._nabla_chain(n, m - 1)[0].nabla())
+            if m else self.chain("charlier", n)
         )
         self._action: Callable[[str, str, int], Poly] = cache(self._build_action)
         # ai(i) - coeff_ai(i): zero unless the provider changes a_i.
@@ -368,12 +372,10 @@ class OperatorActions:
         return N * self.mass("generalized", n) + self._action("series", "generalized", n)
 
     def mixed_difference(self, n: int, k: int, m: int) -> Poly:
-        """Delta^k Nabla^m charlier(n), from one forward chain per (n, m)
-        whose start is the backward difference of the previous one's."""
-        chains = self._mixed.setdefault(n, [self.chain("charlier", n)])
-        while len(chains) <= m:
-            chains.append(DifferenceChain(chains[-1][0].nabla()))
-        return chains[m][k]
+        """Delta^k Nabla^m charlier(n), read from the (n, m) nabla chain."""
+        for lower in range(m):  # lower orders first, so no call recurses deeper
+            self._nabla_chain(n, lower)
+        return self._nabla_chain(n, m)[k]
 
     def verify_mixed_leading(self, i: int, k: int, n: int) -> bool:
         if not 0 <= k <= i <= n:

@@ -28,6 +28,7 @@ The forward difference ``delta`` and backward difference ``nabla`` act on the
 x variable and lower the x-degree by exactly one.  That strict lowering is
 what makes series of differences finite on polynomials: any term of order
 above the x-degree annihilates the argument exactly, not approximately.
+Both differences and ``shift_x`` are one Taylor-shift kernel, ``_translate``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import or_
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -329,47 +330,43 @@ class Poly:
         )
 
     def shift_x(self, offset: RationalLike) -> "Poly":
-        """Substitute x -> x + offset, expanded exactly by the binomial theorem."""
+        """Substitute x -> x + offset, expanded exactly by the Taylor shift."""
         c = _rational(offset)
-        if not c or not self._terms:
-            return self
-        deg = self._degree(_SX)
-        # (x + p/q)**e = sum_j comb(e, j) p**(e-j) q**(deg-e+j) x**j / q**deg
-        p, q = c.numerator, c.denominator
-        pp = [p**i for i in range(deg + 1)]
-        qq = [q**i for i in range(deg + 1)]
-        out: dict[int, int] = {}
-        get = out.get
-        for key, num in self._terms.items():
-            e, rest = key >> _SX, key & _LOW
-            for j in range(e + 1):
-                k = (j << _SX) | rest
-                out[k] = get(k, 0) + num * comb(e, j) * pp[e - j] * qq[deg - e + j]
-        return Poly._make(out, self._den * qq[deg])
+        return self._translate(c, 0) if c else self
 
-    def _difference(self, backward: bool) -> "Poly":
-        # x**e has forward difference sum_{j<e} comb(e, j) x**j and backward
-        # difference sum_{j<e} (-1)**(e-j+1) comb(e, j) x**j: the top term
-        # cancels and is never formed.
-        out: dict[int, int] = {}
-        get = out.get
+    def _translate(self, offset: RationalLike, minus: int) -> "Poly":
+        # p(x + u/q) - minus p(x) by the classical O(d^2) Taylor shift: as
+        # p(x + u/q) = sum_e c_e q**(deg-e) (qx + u)**e / q**deg, each (a, N)
+        # part's dense row of x-coefficients is scaled by q**(deg-e), shifted
+        # by u with repeated additions, less minus times the row it started
+        # as, and scaled back by q**e, all over the one denominator.
+        if not self._terms:
+            return self
+        u, q = offset.numerator, offset.denominator
+        deg = self._degree(_SX)
+        qq = [q**i for i in range(deg + 1)]
+        rows: dict[int, list[int]] = {}
         for key, num in self._terms.items():
-            e, rest = key >> _SX, key & _LOW
-            c = -num if backward and e % 2 == 0 else num
-            for j in range(e):
-                k = (j << _SX) | rest
-                out[k] = get(k, 0) + c * comb(e, j)
-                if backward:
-                    c = -c
-        return Poly._make(out, self._den)
+            e, row = key >> _SX, rows.setdefault(key & _LOW, [])
+            row.extend([0] * (e + 1 - len(row)))
+            row[e] = num * qq[deg - e]
+        out: dict[int, int] = {}
+        for rest, row in rows.items():
+            start = row[:]
+            for i in range(len(row) - 1, 0, -1):
+                for j in range(i - 1, len(row) - 1):
+                    row[j] += u * row[j + 1]
+            for j, c in enumerate(row):
+                out[(j << _SX) | rest] = (c - minus * start[j]) * qq[j]
+        return Poly._make(out, self._den * qq[deg])
 
     def delta(self) -> "Poly":
         """Forward difference in x: p(x+1) - p(x)."""
-        return self._difference(backward=False)
+        return self._translate(1, 1)
 
     def nabla(self) -> "Poly":
         """Backward difference in x: p(x) - p(x-1)."""
-        return self._difference(backward=True)
+        return -self._translate(-1, 1)
 
     # -- rendering -----------------------------------------------------------
 

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charlier import polynomials
-from charlier.polynomials import EXPONENT_LIMIT, A, Poly, Var, X, horner_x, sum_products
+from charlier.classical import charlier
+from charlier.polynomials import EXPONENT_LIMIT, A, N, Poly, Var, X, horner_x, sum_products
 from reference_poly import RefPoly
 from strategies import coefficients, term_maps
 
@@ -21,7 +22,7 @@ scalars = st.one_of(st.integers(min_value=-6, max_value=6), coefficients)
 factors = st.one_of(pairs, pairs, scalars.map(lambda c: (c, c)))
 points = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 
-SHIFTS = (1, -1, -2, Fraction(1, 2))
+SHIFTS = (1, -1, -2, Fraction(1, 2), Fraction(-3, 5))
 SUBSTITUTIONS = (0, -1, -2, Fraction(1, 3))
 
 
@@ -94,14 +95,33 @@ def test_one_term_power_reaching_the_exponent_limit_is_rejected():
     assert (A**2) ** (top - 1) == Poly({(0, EXPONENT_LIMIT - 2, 0): 1})
 
 
-@settings(deadline=None)
-@given(pairs)
-def test_difference_calculus(pair):
-    p, r = pair
+def assert_same_calculus(p: Poly, r: RefPoly) -> None:
     for offset in SHIFTS:
         assert_same(p.shift_x(offset), r.shift_x(offset))
     assert_same(p.delta(), r.delta())
     assert_same(p.nabla(), r.nabla())
+
+
+@settings(deadline=None)
+@given(pairs)
+def test_difference_calculus(pair):
+    assert_same_calculus(*pair)
+
+
+# members of the family and their shifts: dense rows up to x-degree 33, and in
+# the last one rows of different lengths and an N part
+DEEP = {
+    "charlier": charlier,
+    "shifted": lambda n: charlier(n).shift_x(-1),
+    "with-N": lambda n: charlier(n) + N * X ** (n + 3) / 7,
+}
+
+
+@pytest.mark.parametrize("n", range(31))
+@pytest.mark.parametrize("member", sorted(DEEP))
+def test_difference_calculus_on_deep_rows(member, n):
+    p = DEEP[member](n)
+    assert_same_calculus(p, RefPoly(dict(p.terms())))
 
 
 @settings(deadline=None)

@@ -16,7 +16,7 @@ import pytest
 from charlier import classical as cl
 from charlier import diffeq as dq
 from charlier import pointmass as pm
-from charlier.cli import main
+from charlier.cli import INDEX_LIMIT, main
 from charlier.diffeq import DifferenceChain, OperatorActions, coeff_ai, mass_operator
 from charlier.polynomials import A, X
 from charlier.verify import SuiteSpec, run_suite
@@ -74,7 +74,7 @@ def test_rows_do_not_depend_on_the_run_n_max():
 
 @pytest.mark.parametrize("lemma", sorted(cl.LEMMAS))
 def test_every_lemma_holds_to_the_index_limit(lemma):
-    assert all(cl.LEMMAS[lemma](k) for k in range(31))
+    assert all(cl.LEMMAS[lemma](k) for k in range(INDEX_LIMIT + 1))
 
 
 # lemma, the index it is broken at, and the degree of the cases whose step

@@ -101,6 +101,12 @@ def test_an_instance_keeps_its_chains_and_actions(provider):
     departure = actions._departure(3)
     assert actions._departure(3) is departure
     assert other._departure(3) is not departure
+    for k, m in ((2, 0), (1, 2), (0, 3)):
+        mixed = actions.mixed_difference(4, k, m)
+        assert actions.mixed_difference(4, k, m) is mixed
+        assert other.mixed_difference(4, k, m) is not mixed
+        assert other.mixed_difference(4, k, m) == mixed
+    assert actions.mixed_difference(4, 2, 0) is actions.chain("charlier", 4)[2]
 
 
 UNKNOWN_PIECE_READS = {

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charlier.classical import charlier
 from charlier.polynomials import EXPONENT_LIMIT, A, N, Poly, Var, X
 from strategies import polys
 
@@ -133,6 +134,27 @@ class TestShiftCalculus:
     def test_nabla(self):
         assert (X**2).nabla() == 2 * X - 1
         assert Poly.const(7).nabla() == 0
+
+
+def test_differences_never_call_shift_x(monkeypatch):
+    # the lowering lemma reads shift_x, so it must stay apart from the delta
+    # that the chains and the lowering tag read
+    def steps():
+        chain = [charlier(12)]
+        while chain[-1]:
+            chain.append(chain[-1].delta())
+        backward = [charlier(12)]
+        for _ in range(3):
+            backward.append(backward[-1].nabla())
+        return chain, backward
+
+    before = steps()
+
+    def refuse(self, offset):
+        raise AssertionError("shift_x called")
+
+    monkeypatch.setattr(Poly, "shift_x", refuse)
+    assert steps() == before
 
 
 class TestInspection:
