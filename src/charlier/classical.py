@@ -267,43 +267,44 @@ def inner_product_classical(p: Poly, q: Poly) -> Poly:
 
 
 @cache
-def _row(n: int) -> list[Poly]:
-    """The entries of row n built so far; moment_row extends the list."""
-    return []
+def _row_factors(n: int) -> tuple[Fraction, Poly, Poly]:
+    """1/n, -(a+n-1)/n and -a/n: the factors of r_{n-1}[j+1], r_{n-1}[j] and
+    r_{n-2}[j] in r_n[j]."""
+    return Fraction(1, n), (A + (n - 1)) * Fraction(-1, n), A * Fraction(-1, n)
+
+
+@cache
+def _row_entry(n: int, j: int) -> Poly:
+    """r_n[j] = <x^j, charlier(n)>, zero for n = -1; see moment_row."""
+    if n <= 0:
+        return moment(j) if n == 0 else Poly()
+    entries = _row_entry(n - 1, j + 1), _row_entry(n - 1, j), _row_entry(n - 2, j)
+    return sum_products(zip(entries, _row_factors(n)))
 
 
 def moment_row(n: int, size: int) -> list[Poly]:
     """<x^j, charlier(n)> for j < size, from the three-term recurrence.
 
-    n C_n = (x - a - n + 1) C_{n-1} - a C_{n-2} lifts to the rows
+    n C_n = (x - a - n + 1) C_{n-1} - a C_{n-2} lifts to the entries
     r_n[j] = (r_{n-1}[j+1] - (a+n-1) r_{n-1}[j] - a r_{n-2}[j]) / n, from
     r_0[j] = moment(j), so row n to size s reads row n-k to size s + k.  Each
-    row is one list, extended on demand, so an entry is built once and its
-    value does not depend on how far any row reaches.
+    entry is cached once, so its value does not depend on how far any row
+    reaches; rows below n are filled first, so no entry recurses.
     """
     if n < 0 or size < 0:
         raise ValueError("row index and size must be >= 0")
-    if len(_row(n)) < size:
-        for k in range(n + 1):  # lower rows first, so no call recurses
-            row, need = _row(k), size + n - k
-            if k == 0:
-                row.extend(moment(j) for j in range(len(row), need))
-                continue
-            above, below = _row(k - 1), _row(k - 2) if k > 1 else None
-            middle, low = (A + (k - 1)) * Fraction(-1, k), A * Fraction(-1, k)
-            for j in range(len(row), need):
-                pairs = [(above[j + 1], Fraction(1, k)), (above[j], middle)]
-                if below is not None:
-                    pairs.append((below[j], low))
-                row.append(sum_products(pairs))
-    return _row(n)[:size]
+    for k in range(n):
+        for j in range(size + n - k):
+            _row_entry(k, j)
+    return [_row_entry(n, j) for j in range(size)]
 
 
 @cache
 def moment_vector(n: int) -> tuple[Poly, ...]:
     """<x^j, charlier(n)> for j = 0..n: the first n + 1 entries of row n."""
+    row = moment_row(n, n + 1)
     require("row recurrence", n)
-    return tuple(moment_row(n, n + 1))
+    return tuple(row)
 
 
 def orthogonality_residual(m: int, n: int) -> Poly:

@@ -28,8 +28,8 @@ from .verify import SUITES, SuiteSpec, run_suite
 from .version import __version__
 
 # Largest index any argument takes.  At this bound the slowest command,
-# verify --suite all --n-max 30 --i-max 30, takes under a minute (1.6-2.3 s
-# on a 2-vCPU Xeon, Python 3.11, and 2.6-3.7 s on one CPU, 6 runs each); far
+# verify --suite all --n-max 30 --i-max 30, takes under a minute (1.1-1.9 s
+# on a 2-vCPU Xeon, Python 3.11, and 1.9-2.8 s on one CPU, 8 runs each); far
 # larger indices run for hours or reach the exponent limit.
 INDEX_LIMIT = 30
 

@@ -13,8 +13,8 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .classical import charlier, charlier_at, dot_moments, inner_product_classical, moment_row
-from .classical import moment_vector as classical_moment_vector, require
+from .classical import _row_entry, charlier, charlier_at, dot_moments, inner_product_classical
+from .classical import moment_row, moment_vector as classical_moment_vector, require
 from .polynomials import N, Poly, Var, parity_sign, sum_products
 
 
@@ -79,27 +79,24 @@ def inner_product_general(p: Poly, q: Poly) -> Poly:
 
 
 @cache
-def _shifted_row(n: int) -> list[Poly]:
-    """The entries of shifted_moment_row(n, .) built so far."""
-    return []
+def _shifted_entry(n: int, j: int) -> Poly:
+    """s_n[j] = <x^j, C_n(x-1)>; see shifted_moment_row."""
+    return _row_entry(n, j) - _shifted_entry(n - 1, j) if n else _row_entry(0, j)
 
 
 def shifted_moment_row(n: int, size: int) -> list[Poly]:
     """<x^j, C_n(x-1)> for j < size, with C_n(x-1) the lowered piece.
 
     The lowered pieces obey C_n(x-1) = C_n(x) - C_{n-1}(x-1), so each entry is
-    one subtraction, s_n[j] = r_n[j] - s_{n-1}[j] over the classical rows r_n
-    of classical.moment_row.  Each row is one list, extended on demand.
+    one subtraction, s_n[j] = r_n[j] - s_{n-1}[j] over the classical entries
+    r_n[j] of classical.moment_row.  Each entry is cached once; the classical
+    rows and then the shifted rows below n are filled first, so none recurses.
     """
-    if n < 0 or size < 0:
-        raise ValueError("row index and size must be >= 0")
-    if len(_shifted_row(n)) < size:
-        for k in range(n + 1):  # lower rows first, so no call recurses
-            row, classical = _shifted_row(k), moment_row(k, size)
-            lower = _shifted_row(k - 1) if k else None
-            for j in range(len(row), size):
-                row.append(classical[j] - lower[j] if lower is not None else classical[j])
-    return _shifted_row(n)[:size]
+    moment_row(n, size)
+    for k in range(n):
+        for j in range(size):
+            _shifted_entry(k, j)
+    return [_shifted_entry(n, j) for j in range(size)]
 
 
 @cache
@@ -114,7 +111,7 @@ def moment_vector(n: int) -> tuple[Poly, ...]:
     require("piece at x-1", n)
     shifted = shifted_moment_row(n, n + 1)
     vector = [through_pieces(n, c, t) for c, t in zip(classical_moment_vector(n), shifted)]
-    vector[0] = vector[0] + N * gen_charlier(n).substitute(Var.X, 0)
+    vector[0] = vector[0] + N * through_pieces(n, charlier_at(n, 0), charlier_at(n, -1))
     return tuple(vector)
 
 

@@ -8,7 +8,9 @@ its index, and no others, with an error that names the lemma and the index.
 """
 
 import hashlib
+import inspect
 import json
+import sys
 from functools import cache
 
 import pytest
@@ -55,8 +57,30 @@ def test_mass_route_is_the_operator_on_the_chain(order):
 
 @pytest.mark.parametrize("n", range(31))
 def test_rows_are_the_moments_of_the_pieces(n):
-    assert cl.moment_row(n, n + 1) == cl.moments_of(cl.charlier(n), n + 1)
-    assert pm.shifted_moment_row(n, n + 1) == cl.moments_of(pm.shifted_charlier(n), n + 1)
+    # Past the diagonal too: the rows above n read those entries.
+    assert cl.moment_row(n, n + 4) == cl.moments_of(cl.charlier(n), n + 4)
+    assert pm.shifted_moment_row(n, n + 4) == cl.moments_of(pm.shifted_charlier(n), n + 4)
+
+
+def test_rows_build_without_recursion():
+    # 25 frames above the current depth: an entry built by recursion on the
+    # row index would need one frame per row below it.
+    clear_caches()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 25)
+    try:
+        row, shifted = cl.moment_row(60, 2), pm.shifted_moment_row(60, 2)
+    finally:
+        sys.setrecursionlimit(limit)
+        clear_caches()
+    assert row == cl.moments_of(cl.charlier(60), 2)
+    assert shifted == cl.moments_of(pm.shifted_charlier(60), 2)
+
+
+@pytest.mark.parametrize("vector", [cl.moment_vector, pm.moment_vector])
+def test_moment_vectors_reject_a_negative_degree(vector):
+    with pytest.raises(ValueError, match=">= 0"):
+        vector(-1)
 
 
 def test_rows_do_not_depend_on_the_run_n_max():
