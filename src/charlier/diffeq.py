@@ -95,19 +95,18 @@ class DiffOperator:
     def apply(self, y: "Poly | DifferenceChain") -> Poly:
         """Apply to a polynomial, or to the difference chain of one.
 
-        Every term reads one power of the forward chain of y: since
-        Nabla = Delta shifted back by one, Delta^d Nabla^m y is
-        (Delta^(d+m) y)(x - m).  The chain gives the zero polynomial for a
-        total order above deg_x(y), and sum_products drops its product, which
-        is what makes unbounded-order operators act as finite sums on
-        polynomials.
+        Every term reads one power of the forward chain of y: Delta and
+        Nabla commute, so Delta^d Nabla^m y is Nabla^m (Delta^d y).  The
+        chain gives the zero polynomial for an order above deg_x(y), and
+        sum_products drops its product, which is what makes unbounded-order
+        operators act as finite sums on polynomials.
         """
         chain = DifferenceChain.of(y)
         pairs = []
         for term in self.terms:
-            z = chain[term.delta_order + term.nabla_order]
-            if term.nabla_order:
-                z = z.shift_x(-term.nabla_order)
+            z = chain[term.delta_order]
+            for _ in range(term.nabla_order):
+                z = z.nabla()
             pairs.append((term.coeff, z))
         return sum_products(pairs)
 
@@ -267,6 +266,8 @@ def _at_x_minus_two(k: int) -> Poly:
 def _piece(argument: str, n: int) -> tuple[Poly, int]:
     """(y, by) for the piece y = C_n(x - by) of gen_charlier(n) named
     "charlier" (by = 0) or "shifted" (by = 1)."""
+    if n < 0:
+        raise ValueError("degree must be >= 0")
     if argument == "charlier":
         return charlier(n), 0
     if argument == "shifted":
@@ -285,12 +286,14 @@ class OperatorActions:
 
     Each chain and each action of a degree-n operator is built once, on
     first use, and keyed by names and indices, never by a polynomial.  Only
-    the two pieces of gen_charlier(n) have chains.  This is the one place a
-    coefficient provider enters: ``ai`` is ``coeffs``, or ``coeff_ai`` when
-    none is given, and every mass operator and coefficient check here reads
-    it, so an instance serves the one run it was made for.  The mass actions
-    read no chain: they add the provider's departures from coeff_ai to the
-    module's sums S_n and T_n, built from coeff_ai and shared by every instance.
+    the two pieces of gen_charlier(n) have chains: ``mixed_difference``
+    reads Delta^k Nabla^m charlier(n) as Nabla^m of a power of the chain of
+    charlier(n).  This is the one place a coefficient provider enters:
+    ``ai`` is ``coeffs``, or ``coeff_ai`` when none is given, and every mass
+    operator and coefficient check here reads it, so an instance serves the
+    one run it was made for.  The mass actions read no chain: they add the
+    provider's departures from coeff_ai to the module's sums S_n and T_n,
+    built from coeff_ai and shared by every instance.
     """
 
     def __init__(self, coeffs: CoeffProvider | None = None) -> None:
@@ -300,11 +303,7 @@ class OperatorActions:
         self.chain: Callable[[str, int], DifferenceChain] = cache(
             lambda argument, n: DifferenceChain(_piece(argument, n)[0])
         )
-        # _nabla_chain(n, m) is the chain of Nabla^m charlier(n), from the (m-1)-chain's.
-        self._nabla_chain: Callable[[int, int], DifferenceChain] = cache(
-            lambda n, m: DifferenceChain(self._nabla_chain(n, m - 1)[0].nabla())
-            if m else self.chain("charlier", n)
-        )
+        self.mixed_difference: Callable[[int, int, int], Poly] = cache(self._build_mixed)
         self._action: Callable[[str, str, int], Poly] = cache(self._build_action)
         # ai(i) - coeff_ai(i): zero unless the provider changes a_i.
         self._departure: CoeffProvider = cache(lambda i: self.ai(i) - coeff_ai(i))
@@ -362,20 +361,20 @@ class OperatorActions:
         return charlier_at(n, -1) * at_x - charlier_at(n, 0) * at_shifted
 
     def classical_infinite_order_residual(self, n: int) -> Poly:
-        if n < 0:
-            raise ValueError("index must be >= 0")
         return self._action("series", "charlier", n)
 
     def combined_equation_residual(self, n: int) -> Poly:
-        if n < 0:
-            raise ValueError("index must be >= 0")
         return N * self.mass("generalized", n) + self._action("series", "generalized", n)
 
-    def mixed_difference(self, n: int, k: int, m: int) -> Poly:
-        """Delta^k Nabla^m charlier(n), read from the (n, m) nabla chain."""
+    def _build_mixed(self, n: int, k: int, m: int) -> Poly:
+        """Delta^k Nabla^m charlier(n): Nabla of the value at m - 1."""
+        if m < 0:
+            raise ValueError("difference orders must be nonnegative")
+        if not m:
+            return self.chain("charlier", n)[k]
         for lower in range(m):  # lower orders first, so no call recurses deeper
-            self._nabla_chain(n, lower)
-        return self._nabla_chain(n, m)[k]
+            self.mixed_difference(n, k, lower)
+        return self.mixed_difference(n, k, m - 1).nabla()
 
     def verify_mixed_leading(self, i: int, k: int, n: int) -> bool:
         if not 0 <= k <= i <= n:

@@ -7,6 +7,7 @@ import pytest
 from charlier.classical import charlier
 from charlier.diffeq import (
     DiffOperator,
+    OperatorActions,
     apply_difference_equation,
     backshift_residual,
     classical_infinite_order_residual,
@@ -76,6 +77,23 @@ class TestOperator:
     def test_negative_orders_rejected(self):
         with pytest.raises(ValueError):
             DiffOperator([(X, -1, 0)])
+
+    def test_mixed_differences_never_call_shift_x(self, monkeypatch):
+        # Delta^d Nabla^m y is Nabla^m of a power of the chain of y, with no
+        # shift back by m
+        def steps():
+            actions = OperatorActions()
+            mixed = [actions.mixed_difference(12, k, m) for k in range(13) for m in range(13 - k)]
+            return [classical_operator(n).apply(charlier(12)) for n in (12, 11)] + mixed
+
+        before = steps()
+        assert before[:2] == [0, -charlier(12)]
+
+        def refuse(self, offset):
+            raise AssertionError("shift_x called")
+
+        monkeypatch.setattr(Poly, "shift_x", refuse)
+        assert steps() == before
 
 
 class TestCoefficients:

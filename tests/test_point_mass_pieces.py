@@ -11,6 +11,7 @@ import pytest
 
 from charlier import diffeq as dq
 from charlier import pointmass as pm
+from charlier.classical import charlier
 from charlier.diffeq import DifferenceChain, OperatorActions, coeff_ai
 from charlier.polynomials import Var, X
 from charlier.verify import SuiteSpec, run_suite
@@ -64,8 +65,9 @@ def test_gen_charlier_is_the_written_construction(n):
     assert all(w.degree_in(Var.X) <= 0 for w in pm.gen_weights(n))
 
 
-@pytest.mark.parametrize("n", range(13))
-def test_no_chain_is_built_of_a_point_mass_member(n, monkeypatch):
+@pytest.fixture
+def built_chains(monkeypatch):
+    """The argument of every DifferenceChain built during the test."""
     built = []
     right = DifferenceChain.__init__
 
@@ -74,13 +76,26 @@ def test_no_chain_is_built_of_a_point_mass_member(n, monkeypatch):
         right(self, y)
 
     monkeypatch.setattr(DifferenceChain, "__init__", spy)
+    return built
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_no_chain_is_built_of_a_point_mass_member(n, built_chains):
     actions = OperatorActions()
     actions.equation(n)
     actions.combined_equation_residual(n)
     actions.mass("generalized", n)
-    assert built and all(y.degree_in(Var.N) <= 0 for y in built)
+    assert built_chains and all(y.degree_in(Var.N) <= 0 for y in built_chains)
     with pytest.raises(ValueError, match="unknown argument"):
         actions.chain("generalized", n)
+
+
+def test_a_diffeq_run_builds_chains_of_the_pieces_only(built_chains):
+    # the mixed differences of mixed-leading are nabla powers of a piece's
+    # chain, and build no chain of their own
+    assert run_suite(SuiteSpec("diffeq", 10, 10)).all_passed()
+    pieces = [charlier(n) for n in range(11)] + [pm.shifted_charlier(n) for n in range(11)]
+    assert built_chains and all(any(y == p for p in pieces) for y in built_chains)
 
 
 @pytest.mark.parametrize("provider", sorted(PROVIDERS))
