@@ -287,8 +287,9 @@ class OperatorActions:
     Each chain and each action of a degree-n operator is built once, on
     first use, and keyed by names and indices, never by a polynomial.  Only
     the two pieces of gen_charlier(n) have chains: ``mixed_difference``
-    reads Delta^k Nabla^m charlier(n) as Nabla^m of a power of the chain of
-    charlier(n).  This is the one place a coefficient provider enters:
+    reads Delta^k Nabla^m charlier(n) as a power of the chain of charlier(n)
+    at m = 0, and otherwise as Nabla^m C_{n-k}, built once per (n - k, m).
+    This is the one place a coefficient provider enters:
     ``ai`` is ``coeffs``, or ``coeff_ai`` when none is given, and every mass
     operator and coefficient check here reads it, so an instance serves the
     one run it was made for.  The mass actions read no chain: they add the
@@ -304,6 +305,7 @@ class OperatorActions:
             lambda argument, n: DifferenceChain(_piece(argument, n)[0])
         )
         self.mixed_difference: Callable[[int, int, int], Poly] = cache(self._build_mixed)
+        self._nabla_power: Callable[[int, int], Poly] = cache(self._build_nabla_power)
         self._action: Callable[[str, str, int], Poly] = cache(self._build_action)
         # ai(i) - coeff_ai(i): zero unless the provider changes a_i.
         self._departure: CoeffProvider = cache(lambda i: self.ai(i) - coeff_ai(i))
@@ -367,14 +369,27 @@ class OperatorActions:
         return N * self.mass("generalized", n) + self._action("series", "generalized", n)
 
     def _build_mixed(self, n: int, k: int, m: int) -> Poly:
-        """Delta^k Nabla^m charlier(n): Nabla of the value at m - 1."""
-        if m < 0:
+        """Delta^k Nabla^m charlier(n): a power of the chain of charlier(n)
+        at m = 0, else Nabla^m C_{n-k}, as Delta^k C_n = C_{n-k} by lowering.
+
+        Step n reads lowering at n; the cases of lower degree check the
+        lower indices, as for the mass actions.
+        """
+        if k < 0 or m < 0:
             raise ValueError("difference orders must be nonnegative")
-        if not m:
+        if not m or k > n:  # also every k at n < 0, which the chain rejects
             return self.chain("charlier", n)[k]
-        for lower in range(m):  # lower orders first, so no call recurses deeper
-            self.mixed_difference(n, k, lower)
-        return self.mixed_difference(n, k, m - 1).nabla()
+        if k:
+            require("lowering", n)
+        return self._nabla_power(n - k, m)
+
+    def _build_nabla_power(self, j: int, m: int) -> Poly:
+        """Nabla^m charlier(j): Nabla of the value at m - 1."""
+        if not m:
+            return charlier(j)
+        for lower in range(1, m):  # lower orders first, so no call recurses deeper
+            self._nabla_power(j, lower)
+        return self._nabla_power(j, m - 1).nabla()
 
     def verify_mixed_leading(self, i: int, k: int, n: int) -> bool:
         if not 0 <= k <= i <= n:

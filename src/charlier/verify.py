@@ -271,7 +271,7 @@ def _suite_cases(names: Iterable[str], spec: SuiteSpec, coeffs: CoeffProvider | 
 def _can_fork() -> bool:
     """Whether a forked child can run beside this process: fork exists, a
     second CPU is usable, and no other thread could hold a lock the child
-    inherits."""
+    inherits.  The child moves to that CPU as it starts (``_move_off``)."""
     if not hasattr(os, "fork"):
         return False
     try:
@@ -280,6 +280,38 @@ def _can_fork() -> bool:
         cpus = os.cpu_count() or 1
     threading = sys.modules.get("threading")
     return cpus > 1 and (threading is None or threading.active_count() == 1)
+
+
+def _cpu_now() -> int | None:
+    """The CPU this process runs on, field 39 of /proc/self/stat (``os`` has
+    no sched_getcpu), or None where it cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            # the name in field 2 may hold spaces and parentheses
+            return int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _move_off(cpu: int | None) -> None:
+    """Move this process to a CPU of its affinity mask other than ``cpu``,
+    then give it back that whole mask.
+
+    A forked child starts on its parent's CPU, and the scheduler often
+    leaves a short-lived one there, so the two halves of a run take turns
+    on one CPU.  The restored mask leaves the scheduler free to move the
+    child later, and the child never runs outside it.  If the CPU or the
+    mask is unknown, or a call is refused, the child stays where it is.
+    """
+    if cpu is None:
+        return
+    try:
+        mask = os.sched_getaffinity(0)
+        if len(mask) > 1:
+            os.sched_setaffinity(0, {min(mask - {cpu})})
+            os.sched_setaffinity(0, mask)
+    except (AttributeError, OSError):
+        pass
 
 
 def _ship(fd: int, records: list[CaseRecord]) -> None:
@@ -297,11 +329,13 @@ def _received(data: bytes) -> list[CaseRecord] | None:
 def _run_beside(spec: SuiteSpec, coeffs: CoeffProvider | None) -> list[CaseRecord] | None:
     """Run the diffeq cases here while a forked child runs FORKED_SUITES.
 
-    The coefficient provider, the run's OperatorActions and the coeff_ai
-    caches stay in this process.  The child sends its records back through
-    a pipe as marshalled tuples.  If it fails or sends what does not
-    unmarshal, this process runs that half itself, so a worker fault never
-    drops or falsifies a case.  Returns None if no child could be started.
+    The child first moves off the CPU this process ran on just before the
+    fork (``_move_off``).  The coefficient provider, the run's
+    OperatorActions and the coeff_ai caches stay in this process.  The child
+    sends its records back through a pipe as marshalled tuples.  If it fails
+    or sends what does not unmarshal, this process runs that half itself, so
+    a worker fault never drops or falsifies a case.  Returns None if no
+    child could be started.
     """
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:
@@ -310,6 +344,7 @@ def _run_beside(spec: SuiteSpec, coeffs: CoeffProvider | None) -> list[CaseRecor
         read_fd, write_fd = os.pipe()
     except OSError:
         return None
+    cpu = _cpu_now()
     try:
         pid = os.fork()
     except OSError:
@@ -317,6 +352,7 @@ def _run_beside(spec: SuiteSpec, coeffs: CoeffProvider | None) -> list[CaseRecor
     if pid == 0:
         code = 1
         try:
+            _move_off(cpu)
             os.close(read_fd)
             _ship(write_fd, _run_cases(_suite_cases(FORKED_SUITES, spec, coeffs)))
             code = 0

@@ -1,8 +1,9 @@
 """The classical and generalized suites in a forked child beside diffeq.
 
 A run of every suite on a host with a second usable CPU runs those two suites
-in a forked child.  Its report must equal the serial run's, and a child that
-fails, sends much, or outlives an interrupted parent must change nothing.
+in a forked child, which first moves off its parent's CPU.  Its report must
+equal the serial run's, and a child that fails, sends much, cannot move, or
+outlives an interrupted parent must change nothing.
 """
 
 import gc
@@ -232,3 +233,87 @@ def test_buffered_stdout_is_written_once():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "before the run\nTrue\n"
+
+
+def affinity_calls(monkeypatch, mask):
+    """The sched_setaffinity calls made here, with ``mask`` as the mask."""
+    calls = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append((pid, set(cpus))),
+                        raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("cpu", [0, 2, 5])
+def test_the_child_moves_off_its_parents_cpu_and_gets_its_mask_back(cpu, monkeypatch):
+    mask = {0, 2, 5}
+    calls = affinity_calls(monkeypatch, mask)
+    verify._move_off(cpu)
+    assert len(calls) == 2
+    (pid, moved), restored = calls
+    assert pid == 0 and len(moved) == 1 and moved < mask and cpu not in moved
+    assert restored == (0, mask)
+
+
+@pytest.mark.parametrize("mask,cpu", [({3}, 3), ({0, 1}, None)], ids=["one-cpu", "unknown-cpu"])
+def test_the_child_stays_with_one_cpu_or_an_unknown_one(mask, cpu, monkeypatch):
+    calls = affinity_calls(monkeypatch, mask)
+    verify._move_off(cpu)
+    assert calls == []
+
+
+@pytest.mark.parametrize("call", ["sched_getaffinity", "sched_setaffinity"])
+def test_a_refused_or_missing_affinity_call_only_skips_the_move(call, monkeypatch):
+    monkeypatch.delattr(os, call, raising=False)
+    verify._move_off(0)
+
+    def refused(*args):
+        raise OSError("not allowed")
+
+    monkeypatch.setattr(os, call, refused, raising=False)
+    verify._move_off(0)
+
+
+def test_the_cpu_is_read_from_proc_or_not_at_all(monkeypatch, tmp_path):
+    if Path("/proc/self/stat").is_file():
+        assert verify._cpu_now() in os.sched_getaffinity(0)
+    stat, real_open = tmp_path / "stat", open
+    monkeypatch.setattr(verify, "open", lambda path, mode: real_open(stat, mode), raising=False)
+    # field 39 comes after a name that holds ") "; fields 3..38 are 36 more
+    fields = " R" + " 0" * 35 + " 7" + " 0" * 13
+    for text, cpu in (("1 (a) b)" + fields, 7), ("", None), ("1 (a) b) R" + " 0" * 30, None),
+                      ("1 (a)" + fields.replace("7", "x"), None)):
+        stat.write_text(text)
+        assert verify._cpu_now() == cpu
+    stat.unlink()
+    assert verify._cpu_now() is None
+
+
+def test_the_forked_child_moves_off_the_cpu_read_before_the_fork(forks, monkeypatch, tmp_path):
+    log = tmp_path / "affinity"
+
+    def record(pid, cpus):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()} {pid} {sorted(cpus)}\n")
+
+    monkeypatch.setattr(verify, "_cpu_now", lambda: 1)
+    monkeypatch.setattr(os, "sched_setaffinity", record, raising=False)
+    assert run_suite(SuiteSpec("all", 3, 3)).all_passed()
+    assert len(forks) == 1
+    lines = log.read_text().splitlines()
+    child = lines[0].split()[0]
+    assert child != str(os.getpid())
+    assert lines == [f"{child} 0 [0]", f"{child} 0 [0, 1]"]
+
+
+def test_a_child_refused_its_move_reports_as_the_serial_run(forks, capsys, monkeypatch):
+    argv = ("verify", "--suite", "all", "--n-max", "5", "--i-max", "5")
+
+    def refused(pid, cpus):
+        raise OSError("not allowed")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
+    forked = report(argv, capsys)
+    assert len(forks) == 1
+    assert forked == serial_report(argv, capsys, monkeypatch)
+    assert_no_child_left()
