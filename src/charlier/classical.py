@@ -5,12 +5,12 @@ weight with parameter a, normalized so the leading x-coefficient is 1/n!.
 The index -1 is legal and names the zero polynomial, which keeps the
 recurrences used downstream free of special cases.
 
-Alongside the family itself this module carries the helpers everything else
-leans on: the Laguerre polynomials with a symbolic parameter, the moment
-functional of the weight (Stirling-number closed form) and its rows, exact
-checks of the classical identities (degree lowering, the second order
-difference equation, the convolution identity, shift expansions, value
-formulas), and the one home of the lemmas the fast routes rest on.
+Alongside the family this module carries the helpers everything else leans
+on: both routes to C_n(x-1), the Laguerre polynomials with a symbolic
+parameter, the moment functional of the weight (Stirling-number closed form)
+and the moment rows of C_n(x) and C_n(x-1), exact checks of the classical
+identities (lowering, the second order difference equation, convolution,
+shift expansions, value formulas), and the one home of the route lemmas.
 """
 
 from __future__ import annotations
@@ -85,6 +85,13 @@ def _lowered(k: int, by: int) -> Poly:
     for j in range(k):  # lower indices first, so no call recurses deeper
         _lowered(j, by)
     return _lowered(k, by - 1) - _lowered(k - 1, by)
+
+
+@cache
+def shifted_charlier(n: int) -> Poly:
+    """C_n(x-1) by shift_x, the second classical piece of the point-mass
+    family; the lemma "piece at x-1" ties it to _lowered(n, 1)."""
+    return charlier(n).shift_x(-1)
 
 
 @cache
@@ -300,6 +307,27 @@ def moment_row(n: int, size: int) -> list[Poly]:
 
 
 @cache
+def _shifted_entry(n: int, j: int) -> Poly:
+    """s_n[j] = <x^j, C_n(x-1)>; see shifted_moment_row."""
+    return _row_entry(n, j) - _shifted_entry(n - 1, j) if n else _row_entry(0, j)
+
+
+def shifted_moment_row(n: int, size: int) -> list[Poly]:
+    """<x^j, C_n(x-1)> for j < size, with C_n(x-1) the lowered piece.
+
+    The lowered pieces obey C_n(x-1) = C_n(x) - C_{n-1}(x-1), so each entry is
+    one subtraction, s_n[j] = r_n[j] - s_{n-1}[j] over the entries r_n[j] of
+    moment_row.  Each entry is cached once; the rows r and then the rows s
+    below n are filled first, so none recurses.
+    """
+    moment_row(n, size)
+    for k in range(n):
+        for j in range(size):
+            _shifted_entry(k, j)
+    return [_shifted_entry(n, j) for j in range(size)]
+
+
+@cache
 def moment_vector(n: int) -> tuple[Poly, ...]:
     """<x^j, charlier(n)> for j = 0..n: the first n + 1 entries of row n."""
     row = moment_row(n, n + 1)
@@ -344,12 +372,10 @@ def _row_recurrence(n: int) -> bool:
 
 
 def _piece_at_minus_one(k: int) -> bool:
-    """The piece C_k(x-1) every route reads, pointmass.shifted_charlier(k),
+    """The piece C_k(x-1) every route reads, shifted_charlier(k) by shift_x,
     equals the lowered piece _lowered(k, 1), built from charlier alone.  Not
     cached: it compares two cached pieces, and the first one's binding may be
     replaced."""
-    from .pointmass import shifted_charlier  # pointmass imports this module
-
     return shifted_charlier(k) == _lowered(k, 1)
 
 

@@ -29,8 +29,8 @@ from functools import cache
 from math import factorial
 from typing import Callable, Iterable, NamedTuple
 
-from .classical import _exp_coeff, _lowered, charlier, charlier_at, laguerre, require
-from .pointmass import shifted_charlier, through_pieces
+from .classical import _exp_coeff, _lowered, charlier, charlier_at, laguerre, require, shifted_charlier
+from .pointmass import through_pieces
 from .polynomials import A, N, Poly, Var, X, horner_x, parity_sign, sum_products
 
 CoeffProvider = Callable[[int], Poly]
@@ -155,7 +155,7 @@ def _bracket(k: int) -> Poly:
     """
     if k < 1:
         return Poly()
-    # Built from the lowered pieces, not pointmass.shifted_charlier(k): every
+    # Built from the lowered pieces, not classical.shifted_charlier(k): every
     # a_i with i >= k reads this bracket, so a wrong shared piece would fail
     # far from its own index.
     for j in range(1, k):  # lower orders first, so no call recurses deeper
@@ -304,7 +304,6 @@ class OperatorActions:
         self.chain: Callable[[str, int], DifferenceChain] = cache(
             lambda argument, n: DifferenceChain(_piece(argument, n)[0])
         )
-        self.mixed_difference: Callable[[int, int, int], Poly] = cache(self._build_mixed)
         self._nabla_power: Callable[[int, int], Poly] = cache(self._build_nabla_power)
         self._action: Callable[[str, str, int], Poly] = cache(self._build_action)
         # ai(i) - coeff_ai(i): zero unless the provider changes a_i.
@@ -315,10 +314,10 @@ class OperatorActions:
         ("shifted"): a0(n) y + S_n or T_n, plus sum_i (ai(i) - coeff_ai(i))
         Delta^i y, which is zero without a provider.
 
-        Delta^i y = C_{n-i}(x - by) by lowering, once shifted_charlier(n) is
-        the lowered piece at by = 1.  Step n reads these lemmas at n and the
-        binom identity of S_n at n-1; the cases of lower degree check the
-        lower indices.
+        Delta^i y = C_{n-i}(x - by) by lowering, once the piece by shift_x,
+        classical.shifted_charlier(n), is the lowered piece at by = 1.  Step n
+        reads these lemmas at n and the binom identity of S_n at n-1; the
+        cases of lower degree check the lower indices.
         """
         y, by = _piece(argument, n)
         require("lowering", n)
@@ -368,9 +367,10 @@ class OperatorActions:
     def combined_equation_residual(self, n: int) -> Poly:
         return N * self.mass("generalized", n) + self._action("series", "generalized", n)
 
-    def _build_mixed(self, n: int, k: int, m: int) -> Poly:
-        """Delta^k Nabla^m charlier(n): a power of the chain of charlier(n)
-        at m = 0, else Nabla^m C_{n-k}, as Delta^k C_n = C_{n-k} by lowering.
+    def mixed_difference(self, n: int, k: int, m: int) -> Poly:
+        """Delta^k Nabla^m charlier(n), held by this instance's memos: a power
+        of the chain of charlier(n) at m = 0, else Nabla^m C_{n-k} from
+        _nabla_power, as Delta^k C_n = C_{n-k} by lowering.
 
         Step n reads lowering at n; the cases of lower degree check the
         lower indices, as for the mass actions.

@@ -13,8 +13,8 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .classical import _row_entry, charlier, charlier_at, dot_moments, inner_product_classical
-from .classical import moment_row, moment_vector as classical_moment_vector, require
+from .classical import charlier, charlier_at, dot_moments, inner_product_classical, require
+from .classical import moment_vector as classical_moment_vector, shifted_charlier, shifted_moment_row
 from .polynomials import N, Poly, Var, parity_sign, sum_products
 
 
@@ -31,12 +31,6 @@ def gen_weights(n: int) -> tuple[Poly, Poly]:
         raise ValueError("degree must be >= 0")
     s = parity_sign(n)
     return 1 + N * charlier_at(n, -1) * s, N * charlier_at(n, 0) * s
-
-
-@cache
-def shifted_charlier(n: int) -> Poly:
-    """C_n(x-1), the second classical piece of gen_charlier(n)."""
-    return charlier(n).shift_x(-1)
 
 
 def through_pieces(n: int, at_charlier: Poly, at_shifted: Poly) -> Poly:
@@ -79,34 +73,13 @@ def inner_product_general(p: Poly, q: Poly) -> Poly:
 
 
 @cache
-def _shifted_entry(n: int, j: int) -> Poly:
-    """s_n[j] = <x^j, C_n(x-1)>; see shifted_moment_row."""
-    return _row_entry(n, j) - _shifted_entry(n - 1, j) if n else _row_entry(0, j)
-
-
-def shifted_moment_row(n: int, size: int) -> list[Poly]:
-    """<x^j, C_n(x-1)> for j < size, with C_n(x-1) the lowered piece.
-
-    The lowered pieces obey C_n(x-1) = C_n(x) - C_{n-1}(x-1), so each entry is
-    one subtraction, s_n[j] = r_n[j] - s_{n-1}[j] over the classical entries
-    r_n[j] of classical.moment_row.  Each entry is cached once; the classical
-    rows and then the shifted rows below n are filled first, so none recurses.
-    """
-    moment_row(n, size)
-    for k in range(n):
-        for j in range(size):
-            _shifted_entry(k, j)
-    return [_shifted_entry(n, j) for j in range(size)]
-
-
-@cache
 def moment_vector(n: int) -> tuple[Poly, ...]:
     """<x^j, gen_charlier(n)> under the point-mass inner product, j = 0..n.
 
-    The classical part is read through_pieces from classical.moment_vector(n)
-    and the moments of C_n(x-1), which are those of shifted_charlier(n) once
-    the lemma "piece at x-1" holds at n; the mass term N gen_charlier(n)(0)
-    enters entry 0 alone.
+    The classical part is read through_pieces from the rows of C_n(x) and
+    C_n(x-1), classical.moment_vector(n) and shifted_moment_row(n, n + 1),
+    once the lemma "piece at x-1" ties shifted_charlier(n) to the lowered
+    piece; the mass term N gen_charlier(n)(0) enters entry 0 alone.
     """
     require("piece at x-1", n)
     shifted = shifted_moment_row(n, n + 1)

@@ -128,7 +128,7 @@ MUTANTS = [
     ("moment", "stirling2_row", (cl,), wrong_stirling_row),
     ("mass-free", "gen_weights", (pm,), wrong_scale),
     ("structure", "gen_charlier", (pm,), plus_at(3, N**2)),
-    ("alternative-form", "shifted_charlier", (pm, dq), plus_at(3, X)),
+    ("alternative-form", "shifted_charlier", (cl, pm, dq), plus_at(3, X)),
     ("norm", "moment_vector", (pm,), wrong_moment_entry(-1, -1)),
     ("orthogonality-general", "moment_vector", (pm,), wrong_moment_entry(0, 1)),
     ("difference-equation", "classical_operator", (dq,), with_term(3, (X, 2, 0))),
@@ -136,11 +136,11 @@ MUTANTS = [
     ("mass-action", "_mass_sum", (dq,), plus_at(3, X)),
     # the table coeffs prints: the mass sums must read it, not a second route
     ("mass-action", "coeff_ai", (dq,), plus_at(3, X * A)),
-    ("mass-action-shifted", "shifted_charlier", (pm, dq), plus_at(3, X)),
+    ("mass-action-shifted", "shifted_charlier", (cl, pm, dq), plus_at(3, X)),
     ("mass-action-cross", "_bracket_sum", (dq,), plus_at(3, X * A)),
     ("classical-infinite-order", "classical_series_operator", (dq,), series_plus_identity),
     ("combined-equation", "classical_series_operator", (dq,), series_plus_identity),
-    ("shifted-second-order", "shifted_charlier", (pm, dq), plus_at(2, A)),
+    ("shifted-second-order", "shifted_charlier", (cl, pm, dq), plus_at(2, A)),
     ("backshift", "backshift_operator", (dq,), with_term(3, (X, 3, 0))),
     ("coeff-structure", "_bracket", (dq,), plus_at(2, X * A**5)),
     ("leading-x", "leading_x_laguerre_chain", (dq,), plus_at(3, A)),

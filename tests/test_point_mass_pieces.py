@@ -9,8 +9,10 @@ coefficient provider, and a wrong shared piece must still fail the run.
 
 import pytest
 
+from charlier import classical as cl
 from charlier import diffeq as dq
 from charlier import pointmass as pm
+from charlier import verify
 from charlier.classical import charlier
 from charlier.diffeq import DifferenceChain, OperatorActions, coeff_ai
 from charlier.polynomials import Var, X
@@ -155,9 +157,11 @@ def test_checker_catches_a_wrong_shifted_piece(monkeypatch):
         for cached in (right, pm.gen_charlier, pm.moment_vector):
             cached.cache_clear()
 
+    # every module that binds the right piece, so none reads it after the patch
+    bound = [m for m in (cl, pm, dq, verify) if vars(m).get("shifted_charlier") is right]
     spec = SuiteSpec("all", 5, 5)
     clear_caches()
-    for module in (pm, dq):
+    for module in bound:
         monkeypatch.setattr(module, "shifted_charlier", wrong)
     try:
         failing = {(c.identity, tuple(c.indices))
