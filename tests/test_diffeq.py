@@ -42,6 +42,7 @@ from charlier.diffeq import (
     _gcd_in_a,
 )
 from charlier.polynomials import A, Poly, Var, X, parity_sign
+from test_mutants import without_top_x
 
 half = Fraction(1, 2)
 
@@ -150,6 +151,12 @@ class TestLeadingCoefficients:
     @pytest.mark.parametrize("i", range(1, 9))
     def test_degree_escalation(self, i):
         assert verify_degree_escalation(i)
+
+    # dropped: the orders whose x^i part the provider leaves out of a_i
+    @pytest.mark.parametrize("dropped,holds", [((3,), True), ((4,), True), ((3, 4), False)])
+    def test_degree_escalation_reads_either_coefficient(self, dropped, holds):
+        actions = OperatorActions(without_top_x(dropped)(coeff_ai))
+        assert actions.verify_degree_escalation(3) == holds
 
     @pytest.mark.parametrize("i", range(1, 21))
     def test_no_shared_positive_root(self, i):

@@ -144,6 +144,8 @@ MUTANTS = [
     ("backshift", "backshift_operator", (dq,), with_term(3, (X, 3, 0))),
     ("coeff-structure", "_bracket", (dq,), plus_at(2, X * A**5)),
     ("leading-x", "leading_x_laguerre_chain", (dq,), plus_at(3, A)),
+    # the chain form is compared from i = 2 on, not only from i = 3
+    ("leading-x", "leading_x_laguerre_chain", (dq,), plus_at(2, A)),
     ("uniqueness", "_bracket", (dq,), plus_at(3, X)),
     ("degree-escalation", "coeff_ai", (dq,), without_top_x((2, 3))),
     ("coprime-leading", "leading_x_closed_form", (dq,), times_at((3, 4), A - 1)),
