@@ -177,13 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.set_defaults(handler=_cmd_poly)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
-    p_verify.add_argument(
-        "--suite",
-        choices=(*SUITES, "all"),
-        default="all",
-    )
-    p_verify.add_argument("--n-max", type=_index(0), default=12, metavar="N")
-    p_verify.add_argument("--i-max", type=_index(1), default=12, metavar="I")
+    defaults = SuiteSpec()
+    p_verify.add_argument("--suite", choices=(*SUITES, "all"), default=defaults.suite)
+    p_verify.add_argument("--n-max", type=_index(0), default=defaults.n_max, metavar="N")
+    p_verify.add_argument("--i-max", type=_index(1), default=defaults.i_max, metavar="I")
     p_verify.add_argument(
         "--corrupt-ai",
         type=_index(1),

@@ -25,7 +25,8 @@ from .polynomials import Poly, Var
 from .version import __version__
 
 SUITES = ("classical", "generalized", "diffeq")
-# Run in a forked child beside the diffeq suite when a run selects them all.
+# Run beside the diffeq suite in a forked child, or after it here, when a run
+# selects them all.
 FORKED_SUITES = ("classical", "generalized")
 
 Index = Union[int, str]
@@ -268,20 +269,6 @@ def _suite_cases(names: Iterable[str], spec: SuiteSpec, coeffs: CoeffProvider | 
 # -- the forked half ------------------------------------------------------------
 
 
-def _can_fork() -> bool:
-    """Whether a forked child can run beside this process: fork exists, a
-    second CPU is usable, and no other thread could hold a lock the child
-    inherits.  The child moves to that CPU as it starts (``_move_off``)."""
-    if not hasattr(os, "fork"):
-        return False
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    threading = sys.modules.get("threading")
-    return cpus > 1 and (threading is None or threading.active_count() == 1)
-
-
 def _cpu_now() -> int | None:
     """The CPU this process runs on, field 39 of /proc/self/stat (``os`` has
     no sched_getcpu), or None where it cannot be read."""
@@ -326,17 +313,21 @@ def _received(data: bytes) -> list[CaseRecord] | None:
         return None
 
 
-def _run_beside(spec: SuiteSpec, coeffs: CoeffProvider | None) -> list[CaseRecord] | None:
-    """Run the diffeq cases here while a forked child runs FORKED_SUITES.
-
-    The child first moves off the CPU this process ran on just before the
-    fork (``_move_off``).  The coefficient provider, the run's
-    OperatorActions and the coeff_ai caches stay in this process.  The child
-    sends its records back through a pipe as marshalled tuples.  If it fails
-    or sends what does not unmarshal, this process runs that half itself, so
-    a worker fault never drops or falsifies a case.  Returns None if no
-    child could be started.
-    """
+def _start_child(spec: SuiteSpec, coeffs: CoeffProvider | None) -> tuple[int, int] | None:
+    """Fork a child that runs FORKED_SUITES, first moving off this process's
+    CPU (``_move_off``), and ships its records; returns its pid and the read
+    end of its pipe.  Returns None when no child can run beside this process:
+    no fork, one usable CPU, another thread that could hold a lock the child
+    inherits, or a refused pipe or fork."""
+    if not hasattr(os, "fork"):
+        return None
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    threading = sys.modules.get("threading")
+    if cpus < 2 or (threading is not None and threading.active_count() > 1):
+        return None
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:
             stream.flush()
@@ -348,7 +339,9 @@ def _run_beside(spec: SuiteSpec, coeffs: CoeffProvider | None) -> list[CaseRecor
     try:
         pid = os.fork()
     except OSError:
-        pid = -1
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
     if pid == 0:
         code = 1
         try:
@@ -360,22 +353,36 @@ def _run_beside(spec: SuiteSpec, coeffs: CoeffProvider | None) -> list[CaseRecor
             # No stdio flush, atexit or test-runner hook runs in the child.
             os._exit(code)
     os.close(write_fd)
-    if pid < 0:
-        os.close(read_fd)
-        return None
-    with open(read_fd, "rb") as pipe:
-        try:
-            records = _run_cases(_suite_cases(("diffeq",), spec, coeffs))
-            # To EOF before waiting: a child blocked on a full pipe never exits.
-            data = pipe.read()
-        except BaseException:
-            import signal
+    return pid, read_fd
 
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            _, status = os.waitpid(pid, 0)
-    shipped = _received(data) if status == 0 else None
+
+def _run_beside(spec: SuiteSpec, coeffs: CoeffProvider | None) -> list[CaseRecord]:
+    """Run the diffeq cases here while a child from ``_start_child`` runs
+    FORKED_SUITES; returns every record.  The coefficient provider, the run's
+    OperatorActions and the coeff_ai caches stay in this process.  When there
+    is no child, or it fails or sends what does not unmarshal, this process
+    runs FORKED_SUITES itself after its own half, so a worker fault never
+    drops or falsifies a case."""
+    child = _start_child(spec, coeffs)
+    shipped = None
+    if child is None:
+        records = _run_cases(_suite_cases(("diffeq",), spec, coeffs))
+    else:
+        pid, read_fd = child
+        with open(read_fd, "rb") as pipe:
+            try:
+                records = _run_cases(_suite_cases(("diffeq",), spec, coeffs))
+                # To EOF before waiting: a child blocked on a full pipe never exits.
+                data = pipe.read()
+            except BaseException:
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                _, status = os.waitpid(pid, 0)
+        if status == 0:
+            shipped = _received(data)
     if shipped is None:
         shipped = _run_cases(_suite_cases(FORKED_SUITES, spec, coeffs))
     return records + shipped
@@ -383,15 +390,11 @@ def _run_beside(spec: SuiteSpec, coeffs: CoeffProvider | None) -> list[CaseRecor
 
 def run_suite(spec: SuiteSpec, coeffs: CoeffProvider | None = None) -> VerificationReport:
     """Run the selected suite(s); coeffs overrides the order-i coefficient
-    table in the diffeq suite (used for failure-path self tests).
-
-    A run of every suite on a host with a second usable CPU runs
-    FORKED_SUITES in a forked child beside the diffeq suite; the report is
-    the same either way.
-    """
-    names = SUITES if spec.suite == "all" else (spec.suite,)
-    records = _run_beside(spec, coeffs) if len(names) > 1 and _can_fork() else None
-    if records is None:
-        records = _run_cases(_suite_cases(names, spec, coeffs))
+    table in the diffeq suite (used for failure-path self tests).  A run of
+    every suite has two paths (``_run_beside``), with the same report."""
+    if spec.suite == "all":
+        records = _run_beside(spec, coeffs)
+    else:
+        records = _run_cases(_suite_cases((spec.suite,), spec, coeffs))
     records.sort(key=_case_key)
     return VerificationReport(spec.suite, spec.n_max, spec.i_max, records)

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from charlier.cli import main
+from charlier.cli import build_parser, main
+from charlier.verify import SuiteSpec
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
@@ -183,6 +184,10 @@ class TestGoldenOutputs:
 
 
 class TestVerify:
+    def test_defaults_are_suite_specs(self):
+        args = build_parser().parse_args(["verify"])
+        assert SuiteSpec(args.suite, args.n_max, args.i_max) == SuiteSpec()
+
     def test_small_suite_passes(self):
         result = run_cli("verify", "--suite", "classical", "--n-max", "3")
         assert result.returncode == 0

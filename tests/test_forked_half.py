@@ -1,17 +1,22 @@
 """The classical and generalized suites in a forked child beside diffeq.
 
-A run of every suite on a host with a second usable CPU runs those two suites
-in a forked child, which first moves off its parent's CPU.  Its report must
-equal the serial run's, and a child that fails, sends much, cannot move, or
-outlives an interrupted parent must change nothing.
+A run of every suite has two paths.  Where a child can run, those two suites
+run in a forked child, which first moves off its parent's CPU, while the
+calling process runs diffeq.  Otherwise (no fork, one usable CPU, another
+thread, a refused pipe or fork), or when the child does not deliver, the
+calling process runs them itself after diffeq.  The two reports must be
+equal, and a child that fails, sends much, cannot move, or outlives an
+interrupted parent must change nothing.
 """
 
+import contextlib
 import gc
 import json
 import marshal
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -44,6 +49,14 @@ def serial_report(argv, capsys, monkeypatch):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def refused(*args):
+    raise OSError("refused")
+
+
+def cannot_ship(fd, records):
+    raise RuntimeError("no delivery")
 
 
 @pytest.mark.parametrize(
@@ -126,10 +139,6 @@ def open_fds():
 @pytest.mark.parametrize("call", ["pipe", "fork"])
 def test_a_refused_pipe_or_fork_runs_serially(call, forks, capsys, monkeypatch):
     argv = ("verify", "--suite", "all", "--n-max", "5", "--i-max", "5")
-
-    def refused(*args):
-        raise OSError(f"no {call}")
-
     before = open_fds()
     monkeypatch.setattr(os, call, refused)
     assert report(argv, capsys) == serial_report(argv, capsys, monkeypatch)
@@ -149,13 +158,69 @@ def test_a_forked_run_leaves_the_callers_frozen_objects_frozen(forks):
         gc.unfreeze()
 
 
+@contextlib.contextmanager
+def patched(target, name, value=None):
+    """target.name set to value, or deleted if value is None, in the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        if value is None:
+            patch.delattr(target, name)
+        else:
+            patch.setattr(target, name, value)
+        yield
+
+
+@contextlib.contextmanager
+def a_second_thread():
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        done.set()
+        thread.join()
+
+
+NO_DELIVERING_CHILD = {
+    "no-fork": lambda: patched(os, "fork"),
+    "one-usable-cpu": lambda: patched(os, "sched_getaffinity", lambda pid: {0}),
+    "a-second-thread": a_second_thread,
+    "a-refused-pipe": lambda: patched(os, "pipe", refused),
+    "a-refused-fork": lambda: patched(os, "fork", refused),
+    "a-child-that-cannot-ship": lambda: patched(verify, "_ship", cannot_ship),
+}
+
+
+@pytest.mark.parametrize("fault", NO_DELIVERING_CHILD)
+def test_a_run_without_a_delivering_child_runs_one_fallback(fault, forks, capsys, monkeypatch):
+    # This process runs the diffeq half, then FORKED_SUITES in one call, and
+    # reports what the forked run does.
+    argvs = [("verify", "--suite", "all", "--n-max", "5", "--i-max", "5", *corrupt)
+             for corrupt in ((), ("--corrupt-ai", "3"))]
+    forked = [report(argv, capsys) for argv in argvs]
+    assert len(forks) == 2
+    spec = SuiteSpec("all", 5, 5)
+    halves = [{tag for tag, _, _ in verify._suite_cases(names, spec, None)}
+              for names in (("diffeq",), verify.FORKED_SUITES)]
+    calls, run_cases = [], verify._run_cases
+
+    def spy(cases):
+        cases = list(cases)
+        calls.append({tag for tag, _, _ in cases})
+        return run_cases(cases)
+
+    monkeypatch.setattr(verify, "_run_cases", spy)
+    for argv, expected in zip(argvs, forked):
+        calls.clear()
+        with NO_DELIVERING_CHILD[fault]():
+            assert report(argv, capsys) == expected
+        assert calls == halves
+    assert_no_child_left()
+
+
 def test_a_child_that_cannot_deliver_is_replaced(forks, capsys, monkeypatch):
     argv = ("verify", "--suite", "all", "--n-max", "5", "--i-max", "5")
-
-    def broken(fd, records):
-        raise RuntimeError("no delivery")
-
-    monkeypatch.setattr(verify, "_ship", broken)
+    monkeypatch.setattr(verify, "_ship", cannot_ship)
     forked = report(argv, capsys)
     assert len(forks) == 1
     assert forked == serial_report(argv, capsys, monkeypatch)
