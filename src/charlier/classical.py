@@ -226,6 +226,8 @@ _STIRLING2 = [[1]]  # the highest row built so far
 def stirling2_row(k: int) -> list[int]:
     """S(k, j) for j = 0..k: a copy of the highest row built so far, extended
     upward, or built from S(0, 0) = 1 below it (all rows to 1500 take 0.7 GB)."""
+    if k < 0:
+        raise ValueError("row index must be >= 0")
     row = _STIRLING2[0] if len(_STIRLING2[0]) <= k + 1 else [1]
     for _ in range(len(row) - 1, k):
         row = [j * s + t for j, (s, t) in enumerate(zip(row + [0], [0] + row))]
@@ -252,6 +254,8 @@ def moments_of(q: Poly, size: int) -> list[Poly]:
     Entry j sends the x^k coefficient of q to moment(j + k), so pairing any p
     of x-degree below size with q is a dot product with this vector.
     """
+    if size < 0:
+        raise ValueError("size must be >= 0")
     columns = [q.coeff_of(Var.X, k) for k in range(q.degree_in(Var.X) + 1)]
     return [
         sum_products((c, moment(j + k)) for k, c in enumerate(columns))

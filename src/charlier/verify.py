@@ -313,7 +313,7 @@ def _received(data: bytes) -> list[CaseRecord] | None:
         return None
 
 
-def _start_child(spec: SuiteSpec, coeffs: CoeffProvider | None) -> tuple[int, int] | None:
+def _start_child(spec: SuiteSpec) -> tuple[int, int] | None:
     """Fork a child that runs FORKED_SUITES, first moving off this process's
     CPU (``_move_off``), and ships its records; returns its pid and the read
     end of its pipe.  Returns None when no child can run beside this process:
@@ -347,7 +347,7 @@ def _start_child(spec: SuiteSpec, coeffs: CoeffProvider | None) -> tuple[int, in
         try:
             _move_off(cpu)
             os.close(read_fd)
-            _ship(write_fd, _run_cases(_suite_cases(FORKED_SUITES, spec, coeffs)))
+            _ship(write_fd, _run_cases(_suite_cases(FORKED_SUITES, spec, None)))
             code = 0
         finally:
             # No stdio flush, atexit or test-runner hook runs in the child.
@@ -358,12 +358,12 @@ def _start_child(spec: SuiteSpec, coeffs: CoeffProvider | None) -> tuple[int, in
 
 def _run_beside(spec: SuiteSpec, coeffs: CoeffProvider | None) -> list[CaseRecord]:
     """Run the diffeq cases here while a child from ``_start_child`` runs
-    FORKED_SUITES; returns every record.  The coefficient provider, the run's
-    OperatorActions and the coeff_ai caches stay in this process.  When there
+    FORKED_SUITES, given no provider; returns every record.  The provider,
+    the run's OperatorActions and the coeff_ai caches stay here.  When there
     is no child, or it fails or sends what does not unmarshal, this process
     runs FORKED_SUITES itself after its own half, so a worker fault never
     drops or falsifies a case."""
-    child = _start_child(spec, coeffs)
+    child = _start_child(spec)
     shipped = None
     if child is None:
         records = _run_cases(_suite_cases(("diffeq",), spec, coeffs))
@@ -384,7 +384,7 @@ def _run_beside(spec: SuiteSpec, coeffs: CoeffProvider | None) -> list[CaseRecor
         if status == 0:
             shipped = _received(data)
     if shipped is None:
-        shipped = _run_cases(_suite_cases(FORKED_SUITES, spec, coeffs))
+        shipped = _run_cases(_suite_cases(FORKED_SUITES, spec, None))
     return records + shipped
 
 

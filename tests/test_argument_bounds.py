@@ -22,6 +22,8 @@ BELOW_THE_BOUND = {
     "classical.verify_value_difference": (lambda: cl.verify_value_difference(0),
                                           "index must be >= 1"),
     "classical.moment": (lambda: cl.moment(-1), "moment order must be >= 0"),
+    "classical.stirling2_row": (lambda: cl.stirling2_row(-1), "row index must be >= 0"),
+    "classical.moments_of": (lambda: cl.moments_of(X, -1), "size must be >= 0"),
     "classical.orthogonality_residual": (lambda: cl.orthogonality_residual(-1, 0),
                                          "indices must be >= 0"),
     "diffeq.DifferenceChain": (lambda: dq.DifferenceChain(X)[-1],
