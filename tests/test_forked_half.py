@@ -219,6 +219,33 @@ def test_a_run_without_a_delivering_child_runs_one_fallback(fault, forks, capsys
     assert len(forks) == (4 if fault.startswith("a-child-that-") else 2)
 
 
+RECORDS = [verify.CaseRecord("lowering", (3,), "pass", 0.5),
+           verify.CaseRecord("inverse-matrix", (2, 4), "fail", 1.25, "x + a")]
+
+# Each error verify._received turns down; the fault table above reaches only
+# the first, through a child that exits 0.
+NOT_RECORDS = {
+    "truncated": marshal.dumps([tuple(r) for r in RECORDS])[:-1],  # EOFError
+    "an-unknown-type-code": b"\xff",  # ValueError
+    "not-a-list-of-records": marshal.dumps(5),  # TypeError
+    "a-record-too-short": marshal.dumps([("lowering",)]),  # TypeError
+    "a-record-too-long": marshal.dumps([(*RECORDS[0], None, "extra")]),  # TypeError
+}
+
+
+@pytest.mark.parametrize("data", NOT_RECORDS.values(), ids=NOT_RECORDS)
+def test_data_that_are_not_records_are_turned_down(data):
+    assert verify._received(data) is None
+
+
+def test_what_a_child_ships_is_received_whole(tmp_path):
+    path = tmp_path / "shipped"
+    verify._ship(os.open(path, os.O_WRONLY | os.O_CREAT), RECORDS)
+    received = verify._received(path.read_bytes())
+    assert received == RECORDS
+    assert all(type(record) is verify.CaseRecord for record in received)
+
+
 def test_records_beyond_a_pipe_buffer_do_not_hang(forks, capsys, monkeypatch):
     import signal
 
